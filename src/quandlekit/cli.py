@@ -264,7 +264,12 @@ def _corpus_member(token: str) -> Quandle:
     if t.startswith("trivial:"):
         return trivial_quandle(int(t.split(":")[1]))
     if t.startswith("alex:"):
-        _, fac, phi = t.split(":")
+        parts = t.split(":")
+        if len(parts) != 3:
+            raise ValueError(
+                "corpus token %r must look like alex:FACTORS:PHI, e.g. alex:z5:x2" % t
+            )
+        _, fac, phi = parts
         factors = _parse_factors(fac)
         return alexander_quandle(factors, _parse_matrix(phi, len(factors)))
     m = re.fullmatch(r"conj:s(\d+)", t)

@@ -17,7 +17,7 @@ projection is the chain of the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .perm import (
@@ -33,6 +33,7 @@ from .perm import (
     identity,
     inverse,
     is_conjugation_stable,
+    require_recursion_depth,
 )
 
 
@@ -43,12 +44,21 @@ class GenPair:
     omega is kept in canonical (lexicographic) order.  conj_stable records
     whether omega is closed under conjugation by the whole group; faithful
     records whether only the identity centralizes all of omega.
+
+    Two memo tables ride along, keyed by content only: _valid_stars holds
+    the keys of star morphisms into this pair that passed the full
+    check_star_morphism, and _subgroups maps a sorted subset of omega to its
+    close_group result.
     """
 
     group: PermGroup
     omega: tuple[Perm, ...]
     conj_stable: bool
     faithful: bool
+    _valid_stars: set[tuple] = field(default_factory=set, repr=False)
+    _subgroups: dict[tuple[Perm, ...], PermGroup] = field(
+        default_factory=dict, repr=False
+    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GenPair):
@@ -200,8 +210,42 @@ def identity_star(pair: GenPair) -> StarMorphism:
     )
 
 
+def _star_check_key(m: StarMorphism) -> tuple:
+    """Everything check_star_morphism reads, as plain content (never id())."""
+    return (
+        m.target.degree,
+        m.target.group.elements,
+        frozenset(m.target.omega),
+        m.source.degree,
+        m.source.group.elements,
+        frozenset(m.source.omega),
+        m.domain_group.degree,
+        m.domain_group.elements,
+        m.domain_omega,
+        frozenset(m.proj.items()),
+    )
+
+
 def check_star_morphism(m: StarMorphism) -> list[str]:
-    """Report of violated clauses, tagged by which requirement failed."""
+    """Report of violated clauses, tagged by which requirement failed.
+
+    Each distinct morphism is checked in full once: a passing result is
+    remembered in the target pair under a key built from everything the
+    check reads, and a later morphism with the same key returns [] at once.
+    Failing morphisms are never remembered, so they are re-checked and
+    re-reported every time.
+    """
+    key = _star_check_key(m)
+    valid = m.target._valid_stars
+    if key in valid:
+        return []
+    report = _check_star_morphism_in_full(m)
+    if not report:
+        valid.add(key)
+    return report
+
+
+def _check_star_morphism_in_full(m: StarMorphism) -> list[str]:
     report: list[str] = []
     tgt = m.target
     src = m.source
@@ -262,8 +306,11 @@ def compose_star(
     """Composite of m1 then m2 (written back to front, like functions).
 
     The composite subset is the part of m2's subset projecting into m1's;
-    its closure carries the chained projection.  The result is re-checked
-    and a failure raises RuntimeError, since it would signal a bug or
+    its closure carries the chained projection.  The closure of each subset
+    is built once and remembered in m2's target pair; a remembered group
+    larger than cap raises CapExceeded as close_group would.  The result is
+    re-checked (check_star_morphism checks each distinct composite in full
+    once) and a failure raises RuntimeError, since it would signal a bug or
     invalid inputs rather than a user error.
     """
     if m1.target != m2.source:
@@ -272,7 +319,12 @@ def compose_star(
     new_gamma = tuple(sorted(g for g in m2.domain_omega if m2.proj[g] in gamma1))
     if not new_gamma:
         raise RuntimeError("composite subset is empty; inputs were not valid")
-    group = close_group(list(new_gamma), cap=cap)
+    subgroups = m2.target._subgroups
+    group = subgroups.get(new_gamma)
+    if group is None:
+        group = subgroups[new_gamma] = close_group(list(new_gamma), cap=cap)
+    elif len(group) > cap:
+        raise CapExceeded("group closure exceeded the cap of %d elements" % cap)
     proj = {}
     for h in group.elements:
         mid = m2.proj[h]
@@ -344,8 +396,10 @@ def _extension_search(
     of the prefix) are not branched over; their forced image must still land
     in the candidate set.  With injective=True distinct generators must get
     distinct images.  Enumeration order follows the candidate list, so the
-    output is deterministic.
+    output is deterministic.  The search recurses once per generator; too
+    many generators for the interpreter's stack raise CapExceeded.
     """
+    require_recursion_depth(len(gens), "extension search over %d generators" % len(gens))
     candidate_set = set(candidates)
 
     def rec(
@@ -434,6 +488,8 @@ def enumerate_star_morphisms(
         raise CapExceeded(
             "subset search would scan %d subsets (cap %d)" % (math.comb(m, k), subset_cap)
         )
+    # the subset search and the extension search below it each recurse k deep
+    require_recursion_depth(2 * k, "star morphism search from an omega of size %d" % k)
     omega2_pos = {p: i for i, p in enumerate(omega2)}
     results: list[StarMorphism] = []
 

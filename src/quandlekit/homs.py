@@ -16,7 +16,7 @@ from .grpgen import (
     check_star_morphism,
     check_surj_morphism,
 )
-from .perm import DEFAULT_CAP, compose, identity, inverse
+from .perm import DEFAULT_CAP, compose, identity, inverse, require_recursion_depth
 from .quandle import (
     GenPair,
     Quandle,
@@ -84,13 +84,16 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
 
     Backtracking assigns images point by point; an equivariance instance is
     checked as soon as all three of its points have images.  Modes
-    "injective" and "surjective" add the obvious pruning.
+    "injective" and "surjective" add the obvious pruning.  The search
+    recurses once per source point, so a source too large for the
+    interpreter's stack raises CapExceeded.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s" % (MODES,))
     n1, n2 = q1.n, q2.n
     if mode == "injective" and n2 < n1:
         return []
+    require_recursion_depth(n1, "hom enumeration from a %d-point quandle" % n1)
     t1, t2 = q1.table, q2.table
     # checks[k] lists the (x, y) whose equivariance instance closes at point k
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n1)]

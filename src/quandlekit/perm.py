@@ -11,6 +11,7 @@ switching to clever data structures.
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -20,10 +21,23 @@ Letter = tuple[int, int]  # (generator index, sign); sign -1 means the inverse
 Word = tuple[Letter, ...]
 
 DEFAULT_CAP = 100_000
+# Stack frames kept free for the callers of a recursive search and its callees.
+RECURSION_MARGIN = 200
 
 
 class CapExceeded(RuntimeError):
     """A closure or enumeration would grow past its configured cap."""
+
+
+def require_recursion_depth(depth: int, what: str) -> None:
+    """Raise CapExceeded when a search recursing depth levels deep would pass
+    the interpreter's recursion limit minus RECURSION_MARGIN."""
+    limit = sys.getrecursionlimit()
+    if depth > limit - RECURSION_MARGIN:
+        raise CapExceeded(
+            "%s would recurse %d levels deep, past the interpreter's recursion"
+            " limit of %d minus a margin of %d" % (what, depth, limit, RECURSION_MARGIN)
+        )
 
 
 def identity(n: int) -> Perm:

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from quandlekit import dihedral, quandle_from_text
 from quandlekit.cli import main
+from quandlekit.perm import RECURSION_MARGIN
 
 
 def run(capsys, *argv):
@@ -184,6 +186,26 @@ def test_verify_json(capsys):
 def test_verify_rejects_unfaithful_member(capsys):
     rc = main(["verify", "--corpus", "r4", "--mode", "surj"])
     assert rc == 2
+    capsys.readouterr()
+
+
+def test_verify_rejects_malformed_alex_token(capsys):
+    assert main(["verify", "--corpus", "r3,alex:z5", "--mode", "surj"]) == 2
+    err = capsys.readouterr().err
+    assert "'alex:z5'" in err and "alex:FACTORS:PHI" in err
+
+
+def test_homs_too_deep_for_the_stack_exits_2(tmp_path, capsys, monkeypatch):
+    # the backtracker recurses once per source point; a source larger than
+    # the interpreter's recursion limit allows is refused, not overflowed
+    big, one = tmp_path / "t120.quandle", tmp_path / "t1.quandle"
+    assert main(["make", "trivial", "120", "--out", str(big)]) == 0
+    assert main(["make", "trivial", "1", "--out", str(one)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: RECURSION_MARGIN + 100)
+    assert main(["homs", str(big), str(one)]) == 2
+    assert "recursion limit" in capsys.readouterr().err
+    assert main(["homs", str(one), str(one)]) == 0
     capsys.readouterr()
 
 

@@ -1,8 +1,10 @@
 import itertools
+import sys
 
 import pytest
 
 from quandlekit import (
+    CapExceeded,
     GenPair,
     StarMorphism,
     check_star_morphism,
@@ -29,7 +31,7 @@ from quandlekit import (
     symmetric_group,
 )
 from quandlekit import SurjMorphism
-from quandlekit.perm import all_transpositions
+from quandlekit.perm import RECURSION_MARGIN, all_transpositions
 
 
 def refl_pair(n):
@@ -269,3 +271,77 @@ def test_genpair_text_round_trip():
         genpair_from_text("dihedral 9\n")
     with pytest.raises(ValueError):
         genpair_from_text("dihedral 9\nomega 99\n")
+
+
+def test_star_check_memo_keys_on_every_field():
+    # once a morphism is remembered as valid, a copy differing in one field
+    # must still get the same non-empty report as a check with no memo
+    p3, p9 = refl_pair(3), refl_pair(9)
+    m = enumerate_star_morphisms(p3, p9)[0]
+    assert check_star_morphism(m) == []
+    assert len(p9._valid_stars) == 1
+
+    h = next(g for g in m.domain_group.elements if g != p9.group.identity)
+    other = next(x for x in p3.group.sorted_elements() if x != m.proj[h])
+    bad_proj = StarMorphism(p3, p9, m.domain_group, m.domain_omega, {**m.proj, h: other})
+    s3 = dihedral_group(3)
+    bad_source = StarMorphism(
+        make_genpair(s3, [x for x in s3.sorted_elements() if x != s3.identity]),
+        p9,
+        m.domain_group,
+        m.domain_omega,
+        m.proj,
+    )
+    # a target with another omega, handed the remembered keys of p9
+    rotation = tuple((i + 1) % 9 for i in range(9))
+    outside = next(x for x in dihedral_reflections(9) if x not in m.domain_omega)
+    tgt = make_genpair(dihedral_group(9), [rotation, outside])
+    tgt._valid_stars.update(p9._valid_stars)
+    bad_target = StarMorphism(p3, tgt, m.domain_group, m.domain_omega, m.proj)
+
+    for bad in (bad_proj, bad_source, bad_target):
+        fresh_target = make_genpair(bad.target.group, bad.target.omega)
+        uncached = StarMorphism(
+            bad.source, fresh_target, bad.domain_group, bad.domain_omega, bad.proj
+        )
+        expected = check_star_morphism(uncached)
+        assert expected
+        assert check_star_morphism(bad) == expected
+    assert len(p9._valid_stars) == 1
+    assert check_star_morphism(m) == []
+
+
+def test_star_check_memo_never_holds_a_failing_morphism():
+    p3, p9 = refl_pair(3), refl_pair(9)
+    refl = dihedral_reflections(9)
+    gamma = (refl[0], refl[1], refl[2])
+    h = close_group(list(gamma))
+    m = StarMorphism(p3, p9, h, gamma, {g: p3.group.identity for g in h.elements})
+    first = check_star_morphism(m)
+    assert first
+    assert check_star_morphism(m) == first
+    assert not p9._valid_stars
+
+
+def test_compose_star_memoised_subgroup_still_honours_cap():
+    p3, p9 = refl_pair(3), refl_pair(9)
+    m = enumerate_star_morphisms(p3, p9)[0]
+    ident3 = identity_star(p3)
+    assert compose_star(m, ident3) == m
+    assert m.domain_omega in p9._subgroups
+    with pytest.raises(CapExceeded) as memo_exc:
+        compose_star(m, ident3, cap=5)
+    with pytest.raises(CapExceeded) as closure_exc:
+        close_group(list(m.domain_omega), cap=5)
+    assert str(memo_exc.value) == str(closure_exc.value)
+    assert compose_star(m, ident3, cap=6) == m
+
+
+def test_extension_searches_refuse_to_overflow_the_stack(monkeypatch):
+    p3, p9 = refl_pair(3), refl_pair(9)
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: RECURSION_MARGIN + 5)
+    with pytest.raises(CapExceeded, match="recursion limit"):
+        enumerate_surj_morphisms(p9, p3)  # 9 generators
+    with pytest.raises(CapExceeded, match="recursion limit"):
+        enumerate_star_morphisms(p3, p9)  # 3-subsets, then 3 generators
+    assert len(enumerate_surj_morphisms(p3, p3)) == 6
