@@ -27,7 +27,7 @@ from .grpgen import (
     genpair_to_text,
     make_genpair,
 )
-from .homs import enumerate_homs, homs_to_dict
+from .homs import MODE_WORDS, enumerate_homs, homs_to_dict
 from .perm import (
     DEFAULT_CAP,
     CapExceeded,
@@ -52,14 +52,6 @@ from .quandle import (
     trivial_quandle,
 )
 from .functors import verify_equivalence
-
-MODE_WORDS = {
-    "all": "all",
-    "inj": "injective",
-    "injective": "injective",
-    "surj": "surjective",
-    "surjective": "surjective",
-}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -190,7 +182,7 @@ def cmd_inn(args: argparse.Namespace) -> int:
         "inner group order: %d" % len(pair.group),
         "distinct symmetries: %d" % len(pair.omega),
     ]
-    found = find_dihedral_presentation(pair.group, seed=args.seed)
+    found = find_dihedral_presentation(pair.group)
     if found is not None:
         lines.append("dihedral-recognized: yes, n=%d" % perm_order(found[0]))
     else:
@@ -320,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inn", help="inner group of a quandle file")
     p.add_argument("path")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="group closure size cap")
-    p.add_argument("--seed", type=int, default=0, help="search order seed for dihedral recognition")
     p.add_argument("--out", help="also write the pair (group plus symmetries) to a file")
     p.set_defaults(func=cmd_inn)
 

@@ -14,13 +14,17 @@ only the morphism directions change.
 verify_equivalence replays the whole story on a concrete corpus: hom sets
 are enumerated independently on both sides, the forward functor is checked
 to biject them, the round-trip isomorphisms are checked natural, and the
-functor laws are checked on every composable pair.
+functor laws are checked on every composable pair.  One loop serves both
+flavors; a small per-call record holds the morphism data that differs.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterator
 
 from .grpgen import (
     CapExceeded,
@@ -38,6 +42,7 @@ from .grpgen import (
     is_star_isomorphism,
 )
 from .homs import (
+    MODE_WORDS,
     QuandleHom,
     check_hom,
     compose_homs,
@@ -69,28 +74,9 @@ def to_quandle(p: GenPair) -> Quandle:
     return conjugation_quandle(p.group, p.omega)
 
 
-F_surj = to_pair
-F_inj = to_pair
-G_surj = to_quandle
-G_inj = to_quandle
-
-
-def F_surj_mor(
-    f: QuandleHom,
-    source_pair: GenPair | None = None,
-    target_pair: GenPair | None = None,
-    cap: int = DEFAULT_CAP,
-) -> SurjMorphism:
-    return induced_surjective(f, source_pair, target_pair, cap)
-
-
-def F_inj_mor(
-    f: QuandleHom,
-    source_pair: GenPair | None = None,
-    target_pair: GenPair | None = None,
-    cap: int = DEFAULT_CAP,
-) -> StarMorphism:
-    return induced_injective(f, source_pair, target_pair, cap)
+# F on morphisms is the group map a homomorphism induces.
+F_surj_mor = induced_surjective
+F_inj_mor = induced_injective
 
 
 def G_surj_mor(
@@ -220,6 +206,19 @@ class EquivalenceReport:
     def add(self, check: str, instance: str, passed: bool, detail: str = "") -> None:
         self.records.append(CheckRecord(check, instance, bool(passed), detail))
 
+    @contextmanager
+    def checking(self, check: str, instance: str) -> Iterator[Callable[..., None]]:
+        """Run the body of one check, which records its verdict through the
+        yielded add(passed, detail="").  A RuntimeError raised in the body is
+        recorded as a failure of this check, with its message; CapExceeded,
+        a RuntimeError too, propagates."""
+        try:
+            yield partial(self.add, check, instance)
+        except CapExceeded:
+            raise
+        except RuntimeError as exc:
+            self.add(check, instance, False, str(exc))
+
     @property
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed]
@@ -250,16 +249,51 @@ class EquivalenceReport:
         }
 
 
-def _normalize_mode(mode: str) -> str:
-    table = {
-        "inj": "injective",
-        "injective": "injective",
-        "surj": "surjective",
-        "surjective": "surjective",
-    }
-    if mode not in table:
-        raise ValueError("mode must be injective or surjective")
-    return table[mode]
+@dataclass(frozen=True)
+class _Flavor:
+    """The morphism data that tells the two equivalences apart; the object
+    maps to_pair and to_quandle are shared."""
+
+    mode: str  # canonical hom mode on the quandle side
+    enumerate: Callable  # (source pair, target pair) -> group-side hom set
+    forward: Callable  # F on morphisms: (hom, source pair, target pair)
+    backward: Callable  # G on morphisms: (morphism, source quandle, target quandle)
+    compose: Callable  # (m2, m1) -> m1 then m2
+    identity: Callable  # pair -> its identity morphism
+    eta: Callable  # pair -> the round-trip isomorphism onto it
+    is_iso: Callable  # eta's isomorphism test
+
+
+def _flavor(mode: str, cap: int) -> _Flavor:
+    """The flavor a mode word names, with cap bound.
+
+    Built on each call from the module globals, so that a function patched
+    in this module (by a test or a tracer) is the one the record holds.
+    """
+    mode = MODE_WORDS.get(mode)
+    if mode == "surjective":
+        return _Flavor(
+            mode,
+            enumerate_surj_morphisms,
+            partial(induced_surjective, cap=cap),
+            G_surj_mor,
+            compose_surj,
+            identity_surj,
+            partial(eta_surj, cap=cap),
+            SurjMorphism.is_injective,
+        )
+    if mode == "injective":
+        return _Flavor(
+            mode,
+            partial(enumerate_star_morphisms, cap=cap),
+            partial(induced_injective, cap=cap),
+            G_inj_mor,
+            partial(compose_star, cap=cap),
+            identity_star,
+            partial(eta_star, cap=cap),
+            is_star_isomorphism,
+        )
+    raise ValueError("mode must be injective or surjective")
 
 
 def verify_equivalence(
@@ -275,15 +309,20 @@ def verify_equivalence(
     (independently) on the group side, the forward functor must biject them,
     and both round-trip naturality squares must commute.  Functor laws are
     checked on all composable pairs; associativity and unit laws of the
-    group-side composition on deterministic samples.  Failures are recorded,
-    not raised; caps and invalid corpus members do raise.
+    group-side composition on deterministic samples.
+
+    Error policy: a law that does not hold is recorded, not raised, and so
+    is a RuntimeError raised while a check runs (a constructor whose own
+    output failed verification): it becomes a failure of that check, with
+    its message.  CapExceeded propagates, since a cap limits the run and
+    refutes nothing; so does ValueError for a bad mode, names list or
+    unfaithful corpus member.
     """
-    mode = _normalize_mode(mode)
-    star = mode == "injective"
+    fl = _flavor(mode, cap)
     names = list(names) if names is not None else ["Q%d" % i for i in range(len(corpus))]
     if len(names) != len(corpus):
         raise ValueError("names length differs from corpus length")
-    report = EquivalenceReport(mode, names)
+    report = EquivalenceReport(fl.mode, names)
     for name, q in zip(names, corpus):
         if not is_faithful(q):
             raise ValueError("%s: not faithful" % name)
@@ -292,48 +331,22 @@ def verify_equivalence(
     conjs = [to_quandle(p) for p in pairs]
     round_trips = [to_pair(qc, cap) for qc in conjs]
 
-    thetas = []
-    etas = []
+    thetas: list[QuandleHom | None] = [None] * k
+    etas: list = [None] * k
     for i, q in enumerate(corpus):
-        inst = names[i]
-        try:
-            th = theta(q, pairs[i])
-            thetas.append(th)
-            report.add("theta_iso", inst, True)
-        except RuntimeError as exc:
-            thetas.append(None)
-            report.add("theta_iso", inst, False, str(exc))
-        try:
-            et = eta_star(pairs[i], cap) if star else eta_surj(pairs[i], cap)
-            etas.append(et)
-            ok = is_star_isomorphism(et) if star else et.is_injective()
-            report.add("eta_iso", inst, ok)
-        except RuntimeError as exc:
-            etas.append(None)
-            report.add("eta_iso", inst, False, str(exc))
+        p, qc, inst = pairs[i], conjs[i], names[i]
+        with report.checking("theta_iso", inst) as add:
+            thetas[i] = theta(q, p)
+            add(True)
+        with report.checking("eta_iso", inst) as add:
+            etas[i] = fl.eta(p)
+            add(fl.is_iso(etas[i]))
         # identity laws of the two functors
-        try:
-            fid = (
-                F_inj_mor(identity_hom(q), pairs[i], pairs[i], cap)
-                if star
-                else F_surj_mor(identity_hom(q), pairs[i], pairs[i], cap)
-            )
-            ident = identity_star(pairs[i]) if star else identity_surj(pairs[i])
-            report.add("functor_F_identity", inst, fid == ident)
-        except RuntimeError as exc:
-            report.add("functor_F_identity", inst, False, str(exc))
-        try:
-            ident_m = identity_star(pairs[i]) if star else identity_surj(pairs[i])
-            gid = (
-                G_inj_mor(ident_m, conjs[i], conjs[i])
-                if star
-                else G_surj_mor(ident_m, conjs[i], conjs[i])
-            )
-            report.add("functor_G_identity", inst, gid == identity_hom(conjs[i]))
-        except RuntimeError as exc:
-            report.add("functor_G_identity", inst, False, str(exc))
+        with report.checking("functor_F_identity", inst) as add:
+            add(fl.forward(identity_hom(q), p, p) == fl.identity(p))
+        with report.checking("functor_G_identity", inst) as add:
+            add(fl.backward(fl.identity(p), qc, qc) == identity_hom(qc))
 
-    qmode = "injective" if star else "surjective"
     q_homs: dict[tuple[int, int], list[QuandleHom]] = {}
     g_homs: dict[tuple[int, int], list] = {}
     f_mapped: dict[tuple[int, int], list] = {}
@@ -342,25 +355,13 @@ def verify_equivalence(
 
     for i, j in itertools.product(range(k), repeat=2):
         inst = "%s -> %s" % (names[i], names[j])
-        try:
-            qh = enumerate_homs(corpus[i], corpus[j], qmode)
-            gh = (
-                enumerate_star_morphisms(pairs[i], pairs[j], cap)
-                if star
-                else enumerate_surj_morphisms(pairs[i], pairs[j])
-            )
-            mapped = [
-                F_inj_mor(f, pairs[i], pairs[j], cap)
-                if star
-                else F_surj_mor(f, pairs[i], pairs[j], cap)
-                for f in qh
-            ]
-        except (CapExceeded, RuntimeError) as exc:
-            report.add("enumeration", inst, False, str(exc))
+        with report.checking("enumeration", inst):
+            qh = enumerate_homs(corpus[i], corpus[j], fl.mode)
+            gh = fl.enumerate(pairs[i], pairs[j])
+            mapped = [fl.forward(f, pairs[i], pairs[j]) for f in qh]
+            q_homs[i, j], g_homs[i, j], f_mapped[i, j] = qh, gh, mapped
+        if (i, j) not in q_homs:
             continue
-        q_homs[i, j] = qh
-        g_homs[i, j] = gh
-        f_mapped[i, j] = mapped
         f_by_mapping[i, j] = {f.mapping: m for f, m in zip(qh, mapped)}
         report.add(
             "hom_count",
@@ -379,147 +380,78 @@ def verify_equivalence(
         # theta naturality: theta_j ( GF f ) == f ( theta_i )
         th_i, th_j = thetas[i], thetas[j]
         if th_i is not None and th_j is not None:
-            ok = True
-            for f, m in zip(qh, mapped):
-                gf = (
-                    G_inj_mor(m, conjs[i], conjs[j])
-                    if star
-                    else G_surj_mor(m, conjs[i], conjs[j])
+            with report.checking("theta_naturality", inst) as add:
+                ok = all(
+                    tuple(th_j.mapping[v] for v in fl.backward(m, conjs[i], conjs[j]).mapping)
+                    == tuple(f.mapping[v] for v in th_i.mapping)
+                    for f, m in zip(qh, mapped)
                 )
-                left = tuple(th_j.mapping[v] for v in gf.mapping)
-                right = tuple(f.mapping[v] for v in th_i.mapping)
-                if left != right:
-                    ok = False
-                    break
-            report.add("theta_naturality", inst, ok, "%d homs" % len(qh))
+                add(ok, "%d homs" % len(qh))
         # eta naturality: m ( eta_i ) == eta_j ( FG m )
         et_i, et_j = etas[i], etas[j]
         if et_i is not None and et_j is not None:
-            ok = True
-            gmapped_list = []
-            for m in gh:
-                try:
-                    gm = (
-                        G_inj_mor(m, conjs[i], conjs[j])
-                        if star
-                        else G_surj_mor(m, conjs[i], conjs[j])
-                    )
-                    gmapped_list.append(gm)
-                    fg = (
-                        F_inj_mor(gm, round_trips[i], round_trips[j], cap)
-                        if star
-                        else F_surj_mor(gm, round_trips[i], round_trips[j], cap)
-                    )
-                    if star:
-                        left = compose_star(m, et_i, cap)
-                        right = compose_star(et_j, fg, cap)
-                    else:
-                        left = compose_surj(m, et_i)
-                        right = compose_surj(et_j, fg)
-                    if left != right:
-                        ok = False
-                        break
-                except RuntimeError as exc:
-                    report.add("eta_naturality", inst, False, str(exc))
-                    ok = None
-                    break
-            if ok is not None:
-                report.add("eta_naturality", inst, ok, "%d morphisms" % len(gh))
-            if len(gmapped_list) == len(gh):
-                g_mapped[i, j] = gmapped_list
+            with report.checking("eta_naturality", inst) as add:
+                g_mapped[i, j] = [fl.backward(m, conjs[i], conjs[j]) for m in gh]
+                ok = all(
+                    fl.compose(m, et_i)
+                    == fl.compose(et_j, fl.forward(gm, round_trips[i], round_trips[j]))
+                    for m, gm in zip(gh, g_mapped[i, j])
+                )
+                add(ok, "%d morphisms" % len(gh))
 
     # functor composition laws on every composable pair
     for i, j, l in itertools.product(range(k), repeat=3):
-        if (i, j) not in q_homs or (j, l) not in q_homs:
-            continue
-        if not q_homs[i, j] or not q_homs[j, l]:
+        if not q_homs.get((i, j)) or not q_homs.get((j, l)):
             continue
         inst = "%s -> %s -> %s" % (names[i], names[j], names[l])
-        okF = True
-        detail = ""
-        for a, f1 in enumerate(q_homs[i, j]):
-            for b, f2 in enumerate(q_homs[j, l]):
-                comp = compose_homs(f2, f1)
-                expected = f_by_mapping[i, l].get(comp.mapping)
+        with report.checking("functor_F_composition", inst) as add:
+            detail = ""
+            for (f1, m1), (f2, m2) in itertools.product(
+                zip(q_homs[i, j], f_mapped[i, j]), zip(q_homs[j, l], f_mapped[j, l])
+            ):
+                # an (i, l) enumeration that failed leaves every composite missing
+                expected = f_by_mapping.get((i, l), {}).get(compose_homs(f2, f1).mapping)
                 if expected is None:
-                    okF = False
                     detail = "composite hom missing from enumeration"
                     break
-                got = (
-                    compose_star(f_mapped[j, l][b], f_mapped[i, j][a], cap)
-                    if star
-                    else compose_surj(f_mapped[j, l][b], f_mapped[i, j][a])
-                )
-                if got != expected:
-                    okF = False
+                if fl.compose(m2, m1) != expected:
                     detail = "F(f2 f1) != F(f2) F(f1)"
                     break
-            if not okF:
-                break
-        report.add("functor_F_composition", inst, okF, detail)
+            add(not detail, detail)
         if (i, j) in g_mapped and (j, l) in g_mapped:
-            okG = True
-            detail = ""
-            for a, m1 in enumerate(g_homs[i, j]):
-                for b, m2 in enumerate(g_homs[j, l]):
-                    comp = (
-                        compose_star(m2, m1, cap)
-                        if star
-                        else compose_surj(m2, m1)
+            with report.checking("functor_G_composition", inst) as add:
+                ok = all(
+                    fl.backward(fl.compose(m2, m1), conjs[i], conjs[l]) == compose_homs(g2, g1)
+                    for (m1, g1), (m2, g2) in itertools.product(
+                        zip(g_homs[i, j], g_mapped[i, j]), zip(g_homs[j, l], g_mapped[j, l])
                     )
-                    gcomp = (
-                        G_inj_mor(comp, conjs[i], conjs[l])
-                        if star
-                        else G_surj_mor(comp, conjs[i], conjs[l])
-                    )
-                    direct = compose_homs(g_mapped[j, l][b], g_mapped[i, j][a])
-                    if gcomp != direct:
-                        okG = False
-                        detail = "G(m2 m1) != G(m2) G(m1)"
-                        break
-                if not okG:
-                    break
-            report.add("functor_G_composition", inst, okG, detail)
+                )
+                add(ok, "" if ok else "G(m2 m1) != G(m2) G(m1)")
 
     # associativity and unit laws of the group-side composition, sampled
     triples = []
     for i, j, l, h in itertools.product(range(k), repeat=4):
-        for key in ((i, j), (j, l), (l, h)):
-            if key not in g_homs or not g_homs[key]:
-                break
-        else:
-            for m1, m2, m3 in itertools.islice(
-                itertools.product(g_homs[i, j], g_homs[j, l], g_homs[l, h]), 2
-            ):
-                triples.append((m1, m2, m3))
+        if g_homs.get((i, j)) and g_homs.get((j, l)) and g_homs.get((l, h)):
+            triples.extend(
+                itertools.islice(itertools.product(g_homs[i, j], g_homs[j, l], g_homs[l, h]), 2)
+            )
         if len(triples) >= law_samples:
             break
-    ok = True
-    for m1, m2, m3 in triples[:law_samples]:
-        if star:
-            left = compose_star(compose_star(m3, m2, cap), m1, cap)
-            right = compose_star(m3, compose_star(m2, m1, cap), cap)
-        else:
-            left = compose_surj(compose_surj(m3, m2), m1)
-            right = compose_surj(m3, compose_surj(m2, m1))
-        if left != right:
-            ok = False
-            break
+    triples = triples[:law_samples]
     if triples:
-        report.add("composition_associative", "sampled triples", ok, "%d triples" % len(triples[:law_samples]))
-    ok = True
-    sampled = 0
-    for (i, j), ms in g_homs.items():
-        for m in ms[:2]:
-            idm_src = identity_star(pairs[i]) if star else identity_surj(pairs[i])
-            idm_tgt = identity_star(pairs[j]) if star else identity_surj(pairs[j])
-            if star:
-                if compose_star(m, idm_src, cap) != m or compose_star(idm_tgt, m, cap) != m:
-                    ok = False
-            else:
-                if compose_surj(m, idm_src) != m or compose_surj(idm_tgt, m) != m:
-                    ok = False
-            sampled += 1
-    if sampled:
-        report.add("composition_unital", "sampled morphisms", ok, "%d morphisms" % sampled)
+        with report.checking("composition_associative", "sampled triples") as add:
+            ok = all(
+                fl.compose(fl.compose(m3, m2), m1) == fl.compose(m3, fl.compose(m2, m1))
+                for m1, m2, m3 in triples
+            )
+            add(ok, "%d triples" % len(triples))
+    units = [(i, j, m) for (i, j), ms in g_homs.items() for m in ms[:2]]
+    if units:
+        with report.checking("composition_unital", "sampled morphisms") as add:
+            ok = all(
+                fl.compose(m, fl.identity(pairs[i])) == m
+                and fl.compose(fl.identity(pairs[j]), m) == m
+                for i, j, m in units
+            )
+            add(ok, "%d morphisms" % len(units))
     return report

@@ -69,12 +69,6 @@ class GenPair:
     def degree(self) -> int:
         return self.group.degree
 
-    def omega_index(self, p: Perm) -> int:
-        return self.omega.index(p)
-
-    def describe(self) -> str:
-        return "group order %d, omega size %d" % (len(self.group), len(self.omega))
-
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
     """Validate and build a GenPair; omega must generate the whole group."""

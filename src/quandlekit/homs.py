@@ -26,7 +26,14 @@ from .quandle import (
     is_faithful,
 )
 
-MODES = ("all", "injective", "surjective")
+# Every accepted spelling of a hom mode, mapped to its canonical name.
+MODE_WORDS = {
+    "all": "all",
+    "inj": "injective",
+    "injective": "injective",
+    "surj": "surjective",
+    "surjective": "surjective",
+}
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,8 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     recurses once per source point, so a source too large for the
     interpreter's stack raises CapExceeded.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
+    if mode not in MODE_WORDS.values():
+        raise ValueError("mode must be all, injective or surjective")
     n1, n2 = q1.n, q2.n
     if mode == "injective" and n2 < n1:
         return []

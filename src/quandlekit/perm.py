@@ -10,7 +10,6 @@ switching to clever data structures.
 
 from __future__ import annotations
 
-import random
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -284,13 +283,13 @@ def all_transpositions(n: int) -> list[Perm]:
     return out
 
 
-def find_dihedral_presentation(
-    group: PermGroup, seed: int = 0
-) -> tuple[Perm, Perm] | None:
+def find_dihedral_presentation(group: PermGroup) -> tuple[Perm, Perm] | None:
     """Search for (a, x) with a^n = x^2 = 1, x a x = a^-1 and <a, x> = group.
 
-    Returns a witness pair when the group is dihedral of order 2n with
-    n = |group| / 2, else None.  The seed only reorders the candidate scan.
+    Returns the first such pair in sorted element order when the group is
+    dihedral of order 2n with n = |group| / 2, else None.  Only <a> is
+    closed: it has index 2 in the group, so any x outside it makes
+    <a, x> the whole group.
     """
     order = len(group)
     if order % 2 != 0:
@@ -298,15 +297,15 @@ def find_dihedral_presentation(
     n = order // 2
     e = group.identity
     elems = group.sorted_elements()
-    rotations = [g for g in elems if perm_order(g) == n]
     involutions = [g for g in elems if g != e and compose(g, g) == e]
-    candidates = [(a, x) for a in rotations for x in involutions]
-    random.Random(seed).shuffle(candidates)
-    for a, x in candidates:
-        if compose(compose(x, a), x) != inverse(a):
+    for a in elems:
+        if perm_order(a) != n:
             continue
-        if close_group([a, x], cap=order).elements == group.elements:
-            return a, x
+        powers = close_group([a], cap=order).elements
+        a_inv = inverse(a)
+        for x in involutions:
+            if x not in powers and compose(compose(x, a), x) == a_inv:
+                return a, x
     return None
 
 

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from quandlekit import (
+    CapExceeded,
     F_inj_mor,
     F_surj_mor,
     G_inj_mor,
@@ -26,6 +30,8 @@ from quandlekit import (
     trivial_quandle,
     verify_equivalence,
 )
+from quandlekit import functors
+from quandlekit.cli import _corpus_member, main
 
 
 def conj_s3():
@@ -194,3 +200,208 @@ def test_report_shapes():
     assert report.summary().startswith("mode surjective")
     line = report.records[0].line()
     assert line.startswith("ok") or line.startswith("FAIL")
+
+
+# Full to_dict() reports of verify_equivalence, keyed "<mode> <corpus>", so
+# that any change to the record list (order, names, details) shows.
+GOLDEN_REPORTS = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
+def test_verify_equivalence_matches_golden_report(key):
+    mode, corpus = key.split(" ")
+    tokens = corpus.split(",")
+    report = verify_equivalence([_corpus_member(t) for t in tokens], mode, names=tokens)
+    assert report.to_dict() == GOLDEN_REPORTS[key]
+
+
+# The functions each flavor's record reads from functors' globals.
+FLAVOR_FUNCTIONS = {
+    "surjective": {
+        "enumerate": "enumerate_surj_morphisms",
+        "forward": "induced_surjective",
+        "backward": "G_surj_mor",
+        "compose": "compose_surj",
+        "eta": "eta_surj",
+        "theta": "theta",
+    },
+    "injective": {
+        "enumerate": "enumerate_star_morphisms",
+        "forward": "induced_injective",
+        "backward": "G_inj_mor",
+        "compose": "compose_star",
+        "eta": "eta_star",
+        "theta": "theta",
+    },
+}
+
+
+def _patch(monkeypatch, mode, role, make):
+    """Replace one function of the flavor by make(original)."""
+    name = FLAVOR_FUNCTIONS[mode][role]
+    monkeypatch.setattr(functors, name, make(getattr(functors, name)))
+
+
+def _raising(exc):
+    def make(orig):
+        def fake(*args, **kwargs):
+            raise exc
+
+        return fake
+
+    return make
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+@pytest.mark.parametrize("role", ["enumerate", "compose", "eta"])
+def test_verify_equivalence_cap_propagates(monkeypatch, mode, role):
+    _patch(monkeypatch, mode, role, _raising(CapExceeded("injected cap")))
+    with pytest.raises(CapExceeded, match="injected cap"):
+        verify_equivalence([dihedral(3)], mode)
+
+
+def test_verify_cli_exits_2_on_cap(monkeypatch, capsys):
+    _patch(monkeypatch, "injective", "enumerate", _raising(CapExceeded("injected cap")))
+    assert main(["verify", "--corpus", "r3", "--mode", "inj"]) == 2
+    assert "error: injected cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+@pytest.mark.parametrize(
+    "role, failing",
+    [
+        pytest.param("theta", {"theta_iso"}, id="theta"),
+        pytest.param("eta", {"eta_iso"}, id="eta"),
+        pytest.param("forward", {"functor_F_identity", "enumeration"}, id="forward"),
+        pytest.param(
+            "backward",
+            {"functor_G_identity", "theta_naturality", "eta_naturality"},
+            id="backward",
+        ),
+        pytest.param(
+            "compose",
+            {
+                "eta_naturality",
+                "functor_F_composition",
+                "functor_G_composition",
+                "composition_associative",
+                "composition_unital",
+            },
+            id="compose",
+        ),
+    ],
+)
+def test_verify_equivalence_records_runtime_errors(monkeypatch, mode, role, failing):
+    _patch(monkeypatch, mode, role, _raising(RuntimeError("injected fault")))
+    report = verify_equivalence([dihedral(3)], mode, names=["r3"])
+    assert {r.check for r in report.failures} == failing
+    assert {r.detail for r in report.failures} == {"injected fault"}
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_records_runtime_error_in_G_composition(monkeypatch, mode):
+    # compose tags its results and the backward map raises on a tagged
+    # morphism, which only the G composition law hands it
+    def tag(orig):
+        def fake(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            out.composite = True
+            return out
+
+        return fake
+
+    def fail_on_tag(orig):
+        def fake(m, *args, **kwargs):
+            if getattr(m, "composite", False):
+                raise RuntimeError("injected fault")
+            return orig(m, *args, **kwargs)
+
+        return fake
+
+    _patch(monkeypatch, mode, "compose", tag)
+    _patch(monkeypatch, mode, "backward", fail_on_tag)
+    report = verify_equivalence([dihedral(3)], mode, names=["r3"])
+    assert [(r.check, r.detail) for r in report.failures] == [
+        ("functor_G_composition", "injected fault")
+    ]
+
+
+def test_verify_equivalence_failed_enumeration_leaves_composites_missing(monkeypatch):
+    # a -> c fails to enumerate while a -> b and b -> c succeed, so F
+    # composition along a -> b -> c has no composite to compare with
+    r3s = [dihedral(3)] * 3
+
+    def fail_a_to_c(orig):
+        def fake(f, source_pair, target_pair, *args, **kwargs):
+            # the three pairs are equal, so tell them apart by identity
+            if source_pair is pairs[0] and target_pair is pairs[2]:
+                raise RuntimeError("injected fault")
+            return orig(f, source_pair, target_pair, *args, **kwargs)
+
+        return fake
+
+    pairs = []  # every pair to_pair builds; the corpus's three come first
+    real_to_pair = functors.to_pair
+
+    def recording_to_pair(q, cap):
+        pairs.append(real_to_pair(q, cap))
+        return pairs[-1]
+
+    monkeypatch.setattr(functors, "to_pair", recording_to_pair)
+    _patch(monkeypatch, "surjective", "forward", fail_a_to_c)
+    report = verify_equivalence(r3s, "surjective", names=["a", "b", "c"])
+    assert [(r.check, r.instance, r.detail) for r in report.failures] == [
+        ("enumeration", "a -> c", "injected fault"),
+        ("functor_F_composition", "a -> b -> c", "composite hom missing from enumeration"),
+    ]
+
+
+def _wrong_compose(orig):
+    # the inner morphism: well formed on endomorphisms, but m2 is dropped
+    return lambda m2, m1, *args, **kwargs: m1
+
+
+def _wrong_backward(orig):
+    # reversed images: another bijection, so still a hom of R3, but not G(m)
+    def fake(m, *args, **kwargs):
+        f = orig(m, *args, **kwargs)
+        return QuandleHom(f.source, f.target, tuple(reversed(f.mapping)))
+
+    return fake
+
+
+def _wrong_forward(orig):
+    # every hom goes to the image of the identity
+    return lambda f, *args, **kwargs: orig(identity_hom(f.source), *args, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+@pytest.mark.parametrize(
+    "role, make, failing",
+    [
+        pytest.param(
+            "compose",
+            _wrong_compose,
+            {"eta_naturality", "functor_F_composition", "functor_G_composition", "composition_unital"},
+            id="compose",
+        ),
+        pytest.param(
+            "backward",
+            _wrong_backward,
+            {"functor_G_identity", "theta_naturality", "eta_naturality", "functor_G_composition"},
+            id="backward",
+        ),
+        pytest.param(
+            "forward",
+            _wrong_forward,
+            {"functor_injective", "functor_onto", "theta_naturality", "eta_naturality"},
+            id="forward",
+        ),
+    ],
+)
+def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, make, failing):
+    # corpus R3 alone: every morphism is an endomorphism, so a wrong value
+    # of the right shape composes and compares without raising
+    _patch(monkeypatch, mode, role, make)
+    report = verify_equivalence([dihedral(3)], mode, names=["r3"])
+    assert {r.check for r in report.failures} == failing, report.summary()

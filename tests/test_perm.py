@@ -165,16 +165,19 @@ def test_all_transpositions():
 
 
 def test_find_dihedral_presentation():
-    for n in (3, 5, 9):
-        g = dihedral_group(n)
+    # order 2 (dihedral_group(1) and cyclic_group(2)) is dihedral with n = 1,
+    # the Klein group with n = 2
+    for n, g in [(n, dihedral_group(n)) for n in (1, 2, 3, 5, 9)] + [(1, cyclic_group(2))]:
         found = find_dihedral_presentation(g)
         assert found is not None
         a, x = found
         assert perm_order(a) == n
         assert perm_order(x) == 2
         assert compose(compose(x, a), x) == inverse(a)
-    assert find_dihedral_presentation(cyclic_group(8)) is None
-    assert find_dihedral_presentation(symmetric_group(4)) is None
+        assert close_group([a, x]) == g
+    # in cyclic_group(4) the only involution lies in the rotation subgroup
+    for g in (cyclic_group(4), cyclic_group(6), cyclic_group(8), symmetric_group(4)):
+        assert find_dihedral_presentation(g) is None
 
 
 def test_centralizer_and_stability():

@@ -1,0 +1,32 @@
+"""Smoke runs of the scripts under scripts/, which import the package (and
+the CLI's corpus parser) by name."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return stop.value.code, capsys.readouterr().out
+
+
+def test_run_equivalence_suite(monkeypatch, capsys):
+    code, out = run_script(monkeypatch, capsys, "run_equivalence_suite.py", "--corpus", "r3,r5")
+    assert code == 0
+    assert "== mode surjective" in out and "== mode injective" in out
+    assert out.rstrip().endswith("total failures: 0")
+
+
+def test_count_injective_homs(monkeypatch, capsys):
+    code, out = run_script(monkeypatch, capsys, "count_injective_homs.py")
+    assert code == 0
+    assert "quandle side: 18 injective maps R3 -> R9" in out
+    assert "18 backwards-partial morphisms" in out
+    assert "counts agree" in out
