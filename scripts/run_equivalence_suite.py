@@ -8,7 +8,7 @@ import argparse
 import sys
 import time
 
-from quandlekit.cli import MODE_WORDS, _corpus_member
+from quandlekit.cli import MODE_WORDS, load_corpus
 from quandlekit import verify_equivalence
 
 
@@ -22,9 +22,10 @@ def main() -> None:
     parser.add_argument("--mode", choices=sorted(MODE_WORDS), default="all")
     args = parser.parse_args()
 
-    tokens = [t.strip() for t in args.corpus.split(",") if t.strip()]
-    corpus = [_corpus_member(t) for t in tokens]
-    modes = ["surjective", "injective"] if args.mode == "all" else [MODE_WORDS[args.mode]]
+    try:
+        tokens, corpus, modes = load_corpus(args.corpus, args.mode)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
     failures = 0
     for mode in modes:

@@ -271,12 +271,22 @@ def _corpus_member(token: str) -> Quandle:
     return _load_quandle(t)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    tokens = [t.strip() for t in args.corpus.split(",") if t.strip()]
+def load_corpus(corpus: str, mode: str) -> tuple[list[str], list[Quandle], list[str]]:
+    """The member names, quandles and canonical modes of a verify run.
+
+    corpus is the comma list of members (see the verify --corpus help) and
+    mode a MODE_WORDS key; "all" expands to both flavors.  An empty corpus
+    raises ValueError.
+    """
+    tokens = [t.strip() for t in corpus.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty corpus")
-    corpus = [_corpus_member(t) for t in tokens]
-    modes = ["surjective", "injective"] if args.mode == "all" else [MODE_WORDS[args.mode]]
+    modes = ["surjective", "injective"] if mode == "all" else [MODE_WORDS[mode]]
+    return tokens, [_corpus_member(t) for t in tokens], modes
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    tokens, corpus, modes = load_corpus(args.corpus, args.mode)
     reports = [
         verify_equivalence(corpus, mode, names=tokens, cap=args.cap) for mode in modes
     ]

@@ -87,16 +87,13 @@ def G_surj_mor(
     """Restrict the group map to omega, reindexed through the canonical points.
 
     Point i of the conjugation quandle on omega is the i-th omega member in
-    canonical order, so the restriction is a plain index translation.
+    canonical order, so the restriction is a plain index translation.  The
+    result is built, not checked: check_hom checks it.
     """
     q1 = source_quandle if source_quandle is not None else to_quandle(m.source)
     q2 = target_quandle if target_quandle is not None else to_quandle(m.target)
     pos2 = {p: i for i, p in enumerate(m.target.omega)}
-    mapping = tuple(pos2[m.mapping[w]] for w in m.source.omega)
-    f = QuandleHom(q1, q2, mapping)
-    if check_hom(f):
-        raise RuntimeError("restricted map failed verification; this is a bug")
-    return f
+    return QuandleHom(q1, q2, tuple(pos2[m.mapping[w]] for w in m.source.omega))
 
 
 def G_inj_mor(
@@ -106,18 +103,15 @@ def G_inj_mor(
 ) -> QuandleHom:
     """Send each source omega member to the unique subset member above it.
 
-    The projection restricts to a bijection subset -> source omega, so the
-    reverse direction is a well-defined injective quandle map.
+    The projection of a valid m restricts to a bijection subset -> source
+    omega, so the reverse direction is a well-defined injective quandle map.
+    The result is built, not checked: check_hom checks it.
     """
     q1 = source_quandle if source_quandle is not None else to_quandle(m.source)
     q2 = target_quandle if target_quandle is not None else to_quandle(m.target)
     back = {m.proj[g]: g for g in m.domain_omega}
     pos2 = {p: i for i, p in enumerate(m.target.omega)}
-    mapping = tuple(pos2[back[w]] for w in m.source.omega)
-    f = QuandleHom(q1, q2, mapping)
-    if not f.is_injective() or check_hom(f):
-        raise RuntimeError("reversed map failed verification; this is a bug")
-    return f
+    return QuandleHom(q1, q2, tuple(pos2[back[w]] for w in m.source.omega))
 
 
 def theta(q: Quandle, pair: GenPair | None = None, cap: int = DEFAULT_CAP) -> QuandleHom:
@@ -125,63 +119,43 @@ def theta(q: Quandle, pair: GenPair | None = None, cap: int = DEFAULT_CAP) -> Qu
 
     Source is the conjugation quandle on the quandle's own symmetries; the
     map matches each of its points (a permutation) with the point of q whose
-    row it is.  Faithfulness makes that unambiguous.
+    row it is.  Faithfulness makes that unambiguous.  The result is built,
+    not checked: verify_equivalence checks it with check_hom.
     """
     p = pair if pair is not None else to_pair(q, cap)
     back = {q.table[x]: x for x in range(q.n)}
-    round_trip = to_quandle(p)
-    mapping = tuple(back[w] for w in p.omega)
-    f = QuandleHom(round_trip, q, mapping)
-    if not f.is_injective() or not f.is_surjective() or check_hom(f):
-        raise RuntimeError("round-trip map failed verification; this is a bug")
-    return f
+    return QuandleHom(to_quandle(p), q, tuple(back[w] for w in p.omega))
 
 
-def conjugation_action(p: GenPair, round_trip: GenPair) -> dict[Perm, Perm]:
+def conjugation_action(p: GenPair) -> dict[Perm, Perm]:
     """For each group element g, the permutation of omega points induced by
-    conjugation with g.  This is a group isomorphism onto round_trip's group."""
+    conjugation with g: a group isomorphism onto the inner group of the
+    conjugation quandle on omega (not checked here)."""
     pos = {w: i for i, w in enumerate(p.omega)}
-    action = {}
-    for g in p.group.elements:
-        action[g] = tuple(pos[conjugate(g, w)] for w in p.omega)
-    if set(action.values()) != round_trip.group.elements or len(
-        set(action.values())
-    ) != len(action):
-        raise RuntimeError("conjugation action is not an isomorphism; this is a bug")
-    return action
+    return {g: tuple(pos[conjugate(g, w)] for w in p.omega) for g in p.group.elements}
 
 
-def eta_surj(p: GenPair, cap: int = DEFAULT_CAP) -> SurjMorphism:
+def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
     """The round-trip isomorphism on the pair side, surjective flavor.
 
-    Maps the inner group of the conjugation quandle back onto the original
-    group: the symmetry at omega point w goes to w itself.
+    round_trip is to_pair(to_quandle(p)).  The map sends its inner group
+    back onto the original group: the symmetry at omega point w goes to w
+    itself.  The result is built, not checked: check_surj_morphism and
+    SurjMorphism.is_injective check it.
     """
-    round_trip = to_pair(to_quandle(p), cap)
-    action = conjugation_action(p, round_trip)
-    mapping = {perm: g for g, perm in action.items()}
-    m = SurjMorphism(round_trip, p, mapping)
-    bad = check_surj_morphism(m, bijective=True)
-    if bad:
-        raise RuntimeError("round-trip morphism failed verification: %s" % "; ".join(bad))
-    return m
+    action = conjugation_action(p)
+    return SurjMorphism(round_trip, p, {perm: g for g, perm in action.items()})
 
 
-def eta_star(p: GenPair, cap: int = DEFAULT_CAP) -> StarMorphism:
+def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
     """The round-trip isomorphism on the pair side, backwards-partial flavor.
 
-    The domain is the whole original pair and the projection is the
-    conjugation action onto the inner group of the conjugation quandle.
+    round_trip is to_pair(to_quandle(p)).  The domain is the whole original
+    pair and the projection is the conjugation action onto round_trip's
+    group.  The result is built, not checked: check_star_morphism and
+    is_star_isomorphism check it.
     """
-    round_trip = to_pair(to_quandle(p), cap)
-    action = conjugation_action(p, round_trip)
-    m = StarMorphism(round_trip, p, p.group, p.omega, dict(action))
-    bad = check_star_morphism(m)
-    if bad:
-        raise RuntimeError("round-trip morphism failed verification: %s" % "; ".join(bad))
-    if not is_star_isomorphism(m):
-        raise RuntimeError("round-trip morphism is not an isomorphism; this is a bug")
-    return m
+    return StarMorphism(round_trip, p, p.group, p.omega, conjugation_action(p))
 
 
 @dataclass
@@ -255,12 +229,14 @@ class _Flavor:
     maps to_pair and to_quandle are shared."""
 
     mode: str  # canonical hom mode on the quandle side
+    in_mode: Callable  # QuandleHom -> whether it has the mode's property
     enumerate: Callable  # (source pair, target pair) -> group-side hom set
+    check: Callable  # group-side morphism -> violated clauses, [] when valid
     forward: Callable  # F on morphisms: (hom, source pair, target pair)
     backward: Callable  # G on morphisms: (morphism, source quandle, target quandle)
     compose: Callable  # (m2, m1) -> m1 then m2
     identity: Callable  # pair -> its identity morphism
-    eta: Callable  # pair -> the round-trip isomorphism onto it
+    eta: Callable  # (pair, its round trip) -> the round-trip isomorphism onto it
     is_iso: Callable  # eta's isomorphism test
 
 
@@ -274,23 +250,27 @@ def _flavor(mode: str, cap: int) -> _Flavor:
     if mode == "surjective":
         return _Flavor(
             mode,
+            QuandleHom.is_surjective,
             enumerate_surj_morphisms,
+            check_surj_morphism,
             partial(induced_surjective, cap=cap),
             G_surj_mor,
             compose_surj,
             identity_surj,
-            partial(eta_surj, cap=cap),
+            eta_surj,
             SurjMorphism.is_injective,
         )
     if mode == "injective":
         return _Flavor(
             mode,
+            QuandleHom.is_injective,
             partial(enumerate_star_morphisms, cap=cap),
+            check_star_morphism,
             partial(induced_injective, cap=cap),
             G_inj_mor,
             partial(compose_star, cap=cap),
             identity_star,
-            partial(eta_star, cap=cap),
+            eta_star,
             is_star_isomorphism,
         )
     raise ValueError("mode must be injective or surjective")
@@ -311,12 +291,20 @@ def verify_equivalence(
     checked on all composable pairs; associativity and unit laws of the
     group-side composition on deterministic samples.
 
+    Constructors only build; every fact is checked here, once.  Each
+    forward image of an enumerated hom is checked with the flavor's check
+    (in "enumeration"), theta with check_hom and eta with the flavor's
+    check (in "theta_iso" and "eta_iso"), and each backward image of an
+    enumerated morphism with check_hom (in "eta_naturality").  Composites
+    are not checked: the laws compare them with checked morphisms, and that
+    comparison is the law itself.
+
     Error policy: a law that does not hold is recorded, not raised, and so
-    is a RuntimeError raised while a check runs (a constructor whose own
-    output failed verification): it becomes a failure of that check, with
-    its message.  CapExceeded propagates, since a cap limits the run and
-    refutes nothing; so does ValueError for a bad mode, names list or
-    unfaithful corpus member.
+    is a RuntimeError raised while a check runs (a morphism that failed
+    verification): it becomes a failure of that check, with its message.
+    CapExceeded propagates, since a cap limits the run and refutes nothing;
+    so does ValueError for a bad mode, names list or unfaithful corpus
+    member.
     """
     fl = _flavor(mode, cap)
     names = list(names) if names is not None else ["Q%d" % i for i in range(len(corpus))]
@@ -336,11 +324,15 @@ def verify_equivalence(
     for i, q in enumerate(corpus):
         p, qc, inst = pairs[i], conjs[i], names[i]
         with report.checking("theta_iso", inst) as add:
-            thetas[i] = theta(q, p)
-            add(True)
+            th = theta(q, p)
+            ok = th.is_injective() and th.is_surjective() and not check_hom(th)
+            thetas[i] = th if ok else None
+            add(ok, "" if ok else "round-trip map is not a quandle isomorphism")
         with report.checking("eta_iso", inst) as add:
-            etas[i] = fl.eta(p)
-            add(fl.is_iso(etas[i]))
+            eta = fl.eta(p, round_trips[i])
+            bad = fl.check(eta)
+            etas[i] = None if bad else eta
+            add(not bad and fl.is_iso(eta), "; ".join(bad))
         # identity laws of the two functors
         with report.checking("functor_F_identity", inst) as add:
             add(fl.forward(identity_hom(q), p, p) == fl.identity(p))
@@ -359,6 +351,10 @@ def verify_equivalence(
             qh = enumerate_homs(corpus[i], corpus[j], fl.mode)
             gh = fl.enumerate(pairs[i], pairs[j])
             mapped = [fl.forward(f, pairs[i], pairs[j]) for f in qh]
+            for m in mapped:
+                bad = fl.check(m)
+                if bad:
+                    raise RuntimeError("induced map failed verification: %s" % "; ".join(bad))
             q_homs[i, j], g_homs[i, j], f_mapped[i, j] = qh, gh, mapped
         if (i, j) not in q_homs:
             continue
@@ -391,7 +387,11 @@ def verify_equivalence(
         et_i, et_j = etas[i], etas[j]
         if et_i is not None and et_j is not None:
             with report.checking("eta_naturality", inst) as add:
-                g_mapped[i, j] = [fl.backward(m, conjs[i], conjs[j]) for m in gh]
+                backs = [fl.backward(m, conjs[i], conjs[j]) for m in gh]
+                for g in backs:
+                    if check_hom(g) or not fl.in_mode(g):
+                        raise RuntimeError("backward image is not a %s quandle hom" % fl.mode)
+                g_mapped[i, j] = backs
                 ok = all(
                     fl.compose(m, et_i)
                     == fl.compose(et_j, fl.forward(gm, round_trips[i], round_trips[j]))

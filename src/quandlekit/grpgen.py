@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .perm import (
@@ -41,21 +42,19 @@ from .perm import (
 class GenPair:
     """A permutation group with a distinguished generating subset omega.
 
-    omega is kept in canonical (lexicographic) order.  conj_stable records
-    whether omega is closed under conjugation by the whole group; faithful
-    records whether only the identity centralizes all of omega.
+    omega is kept in canonical (lexicographic) order.  The constructor
+    trusts its arguments; make_genpair validates outside input.
+    conj_stable records whether omega is closed under conjugation by the
+    whole group; faithful records whether only the identity centralizes all
+    of omega.  Both are computed on first use, so pairs that never ask skip
+    the O(|G| |omega|) scans.
 
-    Two memo tables ride along, keyed by content only: _valid_stars holds
-    the keys of star morphisms into this pair that passed the full
-    check_star_morphism, and _subgroups maps a sorted subset of omega to its
-    close_group result.
+    _subgroups, keyed by content only, maps a sorted subset of omega to its
+    close_group result, for compose_star.
     """
 
     group: PermGroup
     omega: tuple[Perm, ...]
-    conj_stable: bool
-    faithful: bool
-    _valid_stars: set[tuple] = field(default_factory=set, repr=False)
     _subgroups: dict[tuple[Perm, ...], PermGroup] = field(
         default_factory=dict, repr=False
     )
@@ -69,6 +68,14 @@ class GenPair:
     def degree(self) -> int:
         return self.group.degree
 
+    @cached_property
+    def conj_stable(self) -> bool:
+        return is_conjugation_stable(self.group, self.omega)
+
+    @cached_property
+    def faithful(self) -> bool:
+        return centralizer_of_subset_is_trivial(self.group, self.omega)
+
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
     """Validate and build a GenPair; omega must generate the whole group."""
@@ -81,12 +88,7 @@ def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
     if set(om) != group.elements:
         if close_group(om, cap=len(group) + 1).elements != group.elements:
             raise ValueError("omega does not generate the group")
-    return GenPair(
-        group,
-        tuple(om),
-        conj_stable=is_conjugation_stable(group, om),
-        faithful=centralizer_of_subset_is_trivial(group, om),
-    )
+    return GenPair(group, tuple(om))
 
 
 @dataclass(eq=False)
@@ -126,12 +128,8 @@ def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
     )
 
 
-def check_surj_morphism(m: SurjMorphism, bijective: bool = False) -> list[str]:
-    """Report of violated clauses; empty means the morphism is valid.
-
-    With bijective=True the omega restriction must be a bijection, not just
-    a surjection.
-    """
+def check_surj_morphism(m: SurjMorphism) -> list[str]:
+    """Report of violated clauses; empty means the morphism is valid."""
     report: list[str] = []
     src = m.source.group
     tgt = m.target.group
@@ -154,8 +152,6 @@ def check_surj_morphism(m: SurjMorphism, bijective: bool = False) -> list[str]:
         report.append("omega containment: image of omega leaves the target omega")
     elif set(omega_images) != set(m.target.omega):
         report.append("omega surjectivity: restriction does not cover target omega")
-    elif bijective and len(set(omega_images)) != len(m.source.omega):
-        report.append("omega bijectivity: restriction is not injective")
     return report
 
 
@@ -204,42 +200,9 @@ def identity_star(pair: GenPair) -> StarMorphism:
     )
 
 
-def _star_check_key(m: StarMorphism) -> tuple:
-    """Everything check_star_morphism reads, as plain content (never id())."""
-    return (
-        m.target.degree,
-        m.target.group.elements,
-        frozenset(m.target.omega),
-        m.source.degree,
-        m.source.group.elements,
-        frozenset(m.source.omega),
-        m.domain_group.degree,
-        m.domain_group.elements,
-        m.domain_omega,
-        frozenset(m.proj.items()),
-    )
-
-
 def check_star_morphism(m: StarMorphism) -> list[str]:
-    """Report of violated clauses, tagged by which requirement failed.
-
-    Each distinct morphism is checked in full once: a passing result is
-    remembered in the target pair under a key built from everything the
-    check reads, and a later morphism with the same key returns [] at once.
-    Failing morphisms are never remembered, so they are re-checked and
-    re-reported every time.
-    """
-    key = _star_check_key(m)
-    valid = m.target._valid_stars
-    if key in valid:
-        return []
-    report = _check_star_morphism_in_full(m)
-    if not report:
-        valid.add(key)
-    return report
-
-
-def _check_star_morphism_in_full(m: StarMorphism) -> list[str]:
+    """Report of violated clauses, tagged by which requirement failed; empty
+    means the morphism is valid."""
     report: list[str] = []
     tgt = m.target
     src = m.source
@@ -327,11 +290,7 @@ def compose_star(
                 "composite projection left the intermediate domain group"
             )
         proj[h] = m1.proj[mid]
-    out = StarMorphism(m1.source, m2.target, group, new_gamma, proj)
-    bad = check_star_morphism(out)
-    if bad:
-        raise RuntimeError("composite failed validation: %s" % "; ".join(bad))
-    return out
+    return StarMorphism(m1.source, m2.target, group, new_gamma, proj)
 
 
 def is_star_isomorphism(m: StarMorphism) -> bool:

@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grpgen import (
-    StarMorphism,
-    SurjMorphism,
-    check_star_morphism,
-    check_surj_morphism,
-)
+from .grpgen import StarMorphism, SurjMorphism
 from .perm import DEFAULT_CAP, compose, identity, inverse, require_recursion_depth
 from .quandle import (
     GenPair,
@@ -170,9 +165,10 @@ def induced_surjective(
     """The group map between inner groups induced by a surjective homomorphism.
 
     It sends the symmetry at x to the symmetry at f(x) and is extended to
-    whole elements by rewriting witness words.  The result is re-verified
-    exhaustively; a failure raises RuntimeError since it would be a bug, not
-    a user error.  Optional pairs must be the ones built by inn().
+    whole elements by rewriting witness words.  f itself is validated (a
+    ValueError for a non-hom, a non-surjective or an unfaithful one); the
+    result is built, not checked: check_surj_morphism checks it.  Optional
+    pairs must be the ones built by inn().
     """
     _require_valid(f)
     _require_faithful(f)
@@ -182,12 +178,7 @@ def induced_surjective(
     p2 = target_pair if target_pair is not None else inn(f.target, cap)
     assert len(p1.group.generators) == f.source.n
     letter_images = [f.target.table[f.mapping[i]] for i in range(f.source.n)]
-    mapping = _rewrite(p1.group, letter_images, f.target.n)
-    m = SurjMorphism(p1, p2, mapping)
-    bad = check_surj_morphism(m)
-    if bad:
-        raise RuntimeError("induced map failed verification: %s" % "; ".join(bad))
-    return m
+    return SurjMorphism(p1, p2, _rewrite(p1.group, letter_images, f.target.n))
 
 
 def induced_injective(
@@ -200,8 +191,9 @@ def induced_injective(
 
     The domain subgroup is the closure of the symmetries at image points,
     acting on the whole target; the projection sends the symmetry at f(x)
-    back to the symmetry at x, extended by rewriting witness words.  The
-    result is re-verified; failure raises RuntimeError.
+    back to the symmetry at x, extended by rewriting witness words.  f is
+    validated as in induced_surjective; the result is built, not checked:
+    check_star_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
@@ -216,11 +208,7 @@ def induced_injective(
     back = {f.mapping[x]: x for x in range(f.source.n)}
     letter_images = [f.source.table[back[p]] for p in image_pts]
     proj = _rewrite(rel.group, letter_images, f.source.n)
-    m = StarMorphism(p1, p2, rel.group, rel.omega, proj)
-    bad = check_star_morphism(m)
-    if bad:
-        raise RuntimeError("induced map failed verification: %s" % "; ".join(bad))
-    return m
+    return StarMorphism(p1, p2, rel.group, rel.omega, proj)
 
 
 def homs_to_dict(q1: Quandle, q2: Quandle, mode: str, homs: Sequence[QuandleHom]) -> dict:

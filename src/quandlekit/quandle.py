@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .grpgen import GenPair, make_genpair
+from .grpgen import GenPair
 from .perm import (
     DEFAULT_CAP,
     Perm,
@@ -275,15 +275,10 @@ def subquandle_closure(q: Quandle, seed: Iterable[int]) -> SubquandleWitness:
 
 
 def _inn_from_points(q: Quandle, points: Iterable[int], cap: int) -> GenPair:
-    gens: list[Perm] = []
-    seen: set[Perm] = set()
-    for x in points:
-        row = q.table[x]
-        if row not in seen:
-            seen.add(row)
-            gens.append(row)
-    group = close_group(gens, cap=cap)
-    return make_genpair(group, gens)
+    # The group is the closure of exactly these generators, so the pair
+    # needs none of make_genpair's checks.
+    gens = list(dict.fromkeys(q.table[x] for x in points))
+    return GenPair(close_group(gens, cap=cap), tuple(sorted(gens)))
 
 
 def inn(q: Quandle, cap: int = DEFAULT_CAP) -> GenPair:

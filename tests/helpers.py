@@ -6,7 +6,7 @@ checked against these, so none of the library's own shortcuts may appear.
 
 import itertools
 
-from quandlekit import Quandle, QuandleHom, check_axioms, check_hom
+from quandlekit import PermGroup, Quandle, StarMorphism, check_axioms, check_star_morphism
 
 
 def brute_force_homs(q1, q2, mode="all"):
@@ -31,19 +31,48 @@ def brute_force_homs(q1, q2, mode="all"):
 
 
 def naive_closure(gens):
-    """Positive products from the identity, iterated to a fixed point."""
+    """Positive products from the identity, breadth first."""
+    return set(closure_words(gens))
+
+
+def closure_words(gens):
+    """Each element of <gens> with the first positive word (generator
+    indices) reaching it, breadth first from the identity."""
     deg = len(gens[0])
-    elems = {tuple(range(deg))}
-    while True:
-        fresh = set()
-        for a in elems:
-            for g in gens:
-                b = tuple(a[g[i]] for i in range(deg))
-                if b not in elems:
-                    fresh.add(b)
-        if not fresh:
-            return elems
-        elems |= fresh
+    words = {tuple(range(deg)): ()}
+    frontier = list(words)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for i, g in enumerate(gens):
+                b = tuple(a[g[j]] for j in range(deg))
+                if b not in words:
+                    words[b] = words[a] + (i,)
+                    fresh.append(b)
+        frontier = fresh
+    return words
+
+
+def brute_force_star_morphisms(src, tgt):
+    """Keys of every star morphism src -> tgt, found by trying each subset of
+    the target omega of the source omega's size with each bijection onto the
+    source omega, reading the projection off closure words and keeping what
+    check_star_morphism accepts."""
+    keys = set()
+    for gamma in itertools.combinations(tgt.omega, len(src.omega)):
+        words = closure_words(gamma)
+        domain = PermGroup(tgt.degree, gamma, frozenset(words), {})
+        for images in itertools.permutations(src.omega):
+            proj = {}
+            for h, word in words.items():
+                img = tuple(range(src.degree))
+                for i in word:
+                    img = tuple(img[images[i][j]] for j in range(src.degree))
+                proj[h] = img
+            m = StarMorphism(src, tgt, domain, gamma, proj)
+            if not check_star_morphism(m):
+                keys.add(m.key())
+    return keys
 
 
 def conjugacy_classes(group):

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from quandlekit import dihedral, quandle_from_text
-from quandlekit.cli import main
+from quandlekit.cli import load_corpus, main
 from quandlekit.perm import RECURSION_MARGIN
 
 
@@ -212,6 +212,16 @@ def test_homs_too_deep_for_the_stack_exits_2(tmp_path, capsys, monkeypatch):
 def test_verify_rejects_empty_corpus(capsys):
     assert main(["verify", "--corpus", " , "]) == 2
     capsys.readouterr()
+
+
+def test_load_corpus_splits_parses_and_expands_modes():
+    tokens, corpus, modes = load_corpus(" r3, ,conj:s3 ", "all")
+    assert tokens == ["r3", "conj:s3"]
+    assert [q.n for q in corpus] == [3, 6] and corpus[0] == dihedral(3)
+    assert modes == ["surjective", "injective"]
+    assert load_corpus("r5", "inj")[2] == ["injective"]
+    with pytest.raises(ValueError, match="empty corpus"):
+        load_corpus(" , ", "surj")
 
 
 def test_argparse_error_exit_code():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from quandlekit import (
     G_inj_mor,
     G_surj_mor,
     QuandleHom,
+    StarMorphism,
     check_hom,
     check_star_morphism,
     check_surj_morphism,
@@ -31,7 +33,7 @@ from quandlekit import (
     verify_equivalence,
 )
 from quandlekit import functors
-from quandlekit.cli import _corpus_member, main
+from quandlekit.cli import load_corpus, main
 
 
 def conj_s3():
@@ -68,15 +70,15 @@ def test_round_trip_theta_is_isomorphism():
 def test_eta_surj_is_bijective_morphism():
     for q in (dihedral(3), dihedral(9)):
         p = to_pair(q)
-        m = eta_surj(p)
-        assert check_surj_morphism(m, bijective=True) == []
+        m = eta_surj(p, to_pair(to_quandle(p)))
+        assert check_surj_morphism(m) == [] and m.is_injective()
         assert m.target == p
 
 
 def test_eta_star_is_isomorphism():
     for q in (dihedral(3), conj_s3()):
         p = to_pair(q)
-        m = eta_star(p)
+        m = eta_star(p, to_pair(to_quandle(p)))
         assert check_star_morphism(m) == []
         assert is_star_isomorphism(m)
 
@@ -101,7 +103,9 @@ def test_forward_functor_respects_composition():
     m1, m2 = F_inj_mor(f1), F_inj_mor(f2)
     assert not is_star_isomorphism(m1)  # proper subgroup of order 6
     assert is_star_isomorphism(m2)
-    assert compose_star(m2, m1) == F_inj_mor(compose_homs(f2, f1))
+    composite = F_inj_mor(compose_homs(f2, f1))
+    assert check_star_morphism(composite) == []
+    assert compose_star(m2, m1) == composite
 
 
 def test_backward_functor_inverts_forward():
@@ -111,6 +115,7 @@ def test_backward_functor_inverts_forward():
     th3, th9 = theta(r3, p3), theta(r9, p9)
     for f in enumerate_homs(r3, r9, "injective"):
         gf = G_inj_mor(F_inj_mor(f, p3, p9))
+        assert check_hom(gf) == [] and gf.is_injective()
         left = tuple(th9.mapping[v] for v in gf.mapping)
         right = tuple(f.mapping[v] for v in th3.mapping)
         assert left == right
@@ -122,6 +127,7 @@ def test_backward_functor_surjective_flavor():
     th9, th3 = theta(r9, p9), theta(r3, p3)
     f = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
     gf = G_surj_mor(F_surj_mor(f, p9, p3))
+    assert check_hom(gf) == [] and gf.is_surjective()
     left = tuple(th3.mapping[v] for v in gf.mapping)
     right = tuple(f.mapping[v] for v in th9.mapping)
     assert left == right
@@ -178,7 +184,24 @@ def test_degenerate_one_point_instance():
     tiny = make_genpair(close_group([(0,)]), [(0,)])
     assert tiny.conj_stable and tiny.faithful
     assert to_quandle(tiny).n == 1
-    assert is_star_isomorphism(eta_star(tiny))
+    assert is_star_isomorphism(eta_star(tiny, to_pair(to_quandle(tiny))))
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_builds_each_inner_group_once(monkeypatch, mode):
+    # one inner group per corpus member and one per round trip: eta reuses
+    # the round trip verify_equivalence built
+    calls = []
+    real_inn = functors.inn
+
+    def counting_inn(*args, **kwargs):
+        calls.append(args[0])
+        return real_inn(*args, **kwargs)
+
+    monkeypatch.setattr(functors, "inn", counting_inn)
+    corpus = [dihedral(3), dihedral(5)]
+    assert verify_equivalence(corpus, mode).failures == []
+    assert len(calls) == 2 * len(corpus)
 
 
 def test_verify_equivalence_rejects_unfaithful():
@@ -210,8 +233,8 @@ GOLDEN_REPORTS = json.loads(Path(__file__).with_name("golden_reports.json").read
 @pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
 def test_verify_equivalence_matches_golden_report(key):
     mode, corpus = key.split(" ")
-    tokens = corpus.split(",")
-    report = verify_equivalence([_corpus_member(t) for t in tokens], mode, names=tokens)
+    tokens, quandles, [mode] = load_corpus(corpus, mode)
+    report = verify_equivalence(quandles, mode, names=tokens)
     assert report.to_dict() == GOLDEN_REPORTS[key]
 
 
@@ -375,6 +398,31 @@ def _wrong_forward(orig):
     return lambda f, *args, **kwargs: orig(identity_hom(f.source), *args, **kwargs)
 
 
+def _then(transform):
+    """The maker whose function returns transform(the original's result)."""
+    return lambda orig: lambda *args, **kwargs: transform(orig(*args, **kwargs))
+
+
+def _corrupted(m):
+    # a group-side morphism with its value at one element (not the identity)
+    # replaced by another of its values: well formed, not a homomorphism
+    attr = "proj" if isinstance(m, StarMorphism) else "mapping"
+    graph = dict(getattr(m, attr))
+    g = max(graph)
+    graph[g] = next(v for v in sorted(graph.values()) if v != graph[g])
+    return dataclasses.replace(m, **{attr: graph})
+
+
+def _swapped(f):
+    # the images of points 0 and 1 exchanged: on R5 a bijection but no hom
+    return QuandleHom(f.source, f.target, (f.mapping[1], f.mapping[0]) + f.mapping[2:])
+
+
+def _constant(f):
+    # a hom, but neither injective nor surjective
+    return QuandleHom(f.source, f.target, (0,) * f.source.n)
+
+
 @pytest.mark.parametrize("mode", ["surjective", "injective"])
 @pytest.mark.parametrize(
     "role, make, failing",
@@ -397,11 +445,35 @@ def _wrong_forward(orig):
             {"functor_injective", "functor_onto", "theta_naturality", "eta_naturality"},
             id="forward",
         ),
+        # well formed but invalid: only a check that verify_equivalence runs
+        # itself (the constructors build without checking) catches each
+        pytest.param(
+            "forward",
+            _then(_corrupted),
+            {"enumeration", "functor_F_identity"},
+            id="non-hom-forward",
+        ),
+        pytest.param(
+            "backward",
+            _then(_swapped),
+            {"functor_G_identity", "theta_naturality", "eta_naturality"},
+            id="non-hom-backward",
+        ),
+        pytest.param(
+            "backward",
+            _then(_constant),
+            {"functor_G_identity", "theta_naturality", "eta_naturality"},
+            id="wrong-mode-backward",
+        ),
+        pytest.param("eta", _then(_corrupted), {"eta_iso"}, id="non-hom-eta"),
+        pytest.param("theta", _then(_swapped), {"theta_iso"}, id="non-hom-theta"),
+        pytest.param("theta", _then(_constant), {"theta_iso"}, id="non-iso-theta"),
     ],
 )
 def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, make, failing):
-    # corpus R3 alone: every morphism is an endomorphism, so a wrong value
-    # of the right shape composes and compares without raising
+    # corpus R5 alone: every morphism is an endomorphism, so a wrong value
+    # of the right shape composes and compares without raising; and some
+    # bijections of R5 are not homs
     _patch(monkeypatch, mode, role, make)
-    report = verify_equivalence([dihedral(3)], mode, names=["r3"])
+    report = verify_equivalence([dihedral(5)], mode, names=["r5"])
     assert {r.check for r in report.failures} == failing, report.summary()

@@ -30,8 +30,10 @@ from quandlekit import (
     make_genpair,
     symmetric_group,
 )
-from quandlekit import SurjMorphism
+from quandlekit import SurjMorphism, conjugation_quandle, is_faithful
 from quandlekit.perm import RECURSION_MARGIN, all_transpositions
+
+from helpers import brute_force_star_morphisms, iso_class_representatives
 
 
 def refl_pair(n):
@@ -83,8 +85,7 @@ def test_inn_matches_dihedral_realization():
 def test_surj_morphism_check_and_identity():
     p = refl_pair(3)
     ident = identity_surj(p)
-    assert check_surj_morphism(ident, bijective=True) == []
-    assert ident.is_injective()
+    assert check_surj_morphism(ident) == [] and ident.is_injective()
 
 
 def test_surj_morphism_rejects_broken_maps():
@@ -220,7 +221,7 @@ def test_bijective_surj_morphisms_have_explicit_inverses():
     assert endos and all(m.is_injective() for m in endos)
     for m in endos:
         inv = SurjMorphism(p3, p3, {v: k for k, v in m.mapping.items()})
-        assert check_surj_morphism(inv, bijective=True) == []
+        assert check_surj_morphism(inv) == [] and inv.is_injective()
         assert compose_surj(inv, m) == identity_surj(p3)
         assert compose_surj(m, inv) == identity_surj(p3)
     # a strictly smaller target leaves no room for an inverse
@@ -249,6 +250,24 @@ def test_non_injective_projection_star_morphism():
         assert not is_star_isomorphism(m)
 
 
+def test_star_enumeration_matches_brute_force():
+    # every ordered pair of inner pairs of the faithful quandles of order
+    # <= 4 and of conj:s3; and R3 -> R9, whose unstable 3-subsets of
+    # reflections (such as the first three) admit projections onto R3's
+    s3 = symmetric_group(3)
+    quandles = [q for n in range(1, 5) for q in iso_class_representatives(n) if is_faithful(q)]
+    quandles.append(conjugation_quandle(s3, s3.sorted_elements()))
+    pairs = [inn(q) for q in quandles]
+    seen = 0
+    for src, tgt in [*itertools.product(pairs, repeat=2), (inn(dihedral(3)), inn(dihedral(9)))]:
+        fast = enumerate_star_morphisms(src, tgt)
+        keys = {m.key() for m in fast}
+        assert len(keys) == len(fast)
+        assert keys == brute_force_star_morphisms(src, tgt)
+        seen += len(fast)
+    assert seen > 0
+
+
 def test_enumerate_group_homs_counts():
     c3 = cyclic_group(3)
     c2 = cyclic_group(2)
@@ -273,13 +292,12 @@ def test_genpair_text_round_trip():
         genpair_from_text("dihedral 9\nomega 99\n")
 
 
-def test_star_check_memo_keys_on_every_field():
-    # once a morphism is remembered as valid, a copy differing in one field
-    # must still get the same non-empty report as a check with no memo
+def test_star_check_reports_each_one_field_variant():
+    # copies of a valid morphism that differ from it in one field each get
+    # a report naming the clause they break
     p3, p9 = refl_pair(3), refl_pair(9)
     m = enumerate_star_morphisms(p3, p9)[0]
     assert check_star_morphism(m) == []
-    assert len(p9._valid_stars) == 1
 
     h = next(g for g in m.domain_group.elements if g != p9.group.identity)
     other = next(x for x in p3.group.sorted_elements() if x != m.proj[h])
@@ -292,26 +310,23 @@ def test_star_check_memo_keys_on_every_field():
         m.domain_omega,
         m.proj,
     )
-    # a target with another omega, handed the remembered keys of p9
+    # a target with another omega, which leaves out the subset
     rotation = tuple((i + 1) % 9 for i in range(9))
     outside = next(x for x in dihedral_reflections(9) if x not in m.domain_omega)
     tgt = make_genpair(dihedral_group(9), [rotation, outside])
-    tgt._valid_stars.update(p9._valid_stars)
     bad_target = StarMorphism(p3, tgt, m.domain_group, m.domain_omega, m.proj)
 
-    for bad in (bad_proj, bad_source, bad_target):
-        fresh_target = make_genpair(bad.target.group, bad.target.omega)
-        uncached = StarMorphism(
-            bad.source, fresh_target, bad.domain_group, bad.domain_omega, bad.proj
-        )
-        expected = check_star_morphism(uncached)
-        assert expected
-        assert check_star_morphism(bad) == expected
-    assert len(p9._valid_stars) == 1
+    for bad, clause in (
+        (bad_proj, "homomorphism:"),
+        (bad_source, "bijectivity:"),
+        (bad_target, "gamma: subset is not contained in the target omega"),
+    ):
+        report = check_star_morphism(bad)
+        assert any(line.startswith(clause) for line in report), report
     assert check_star_morphism(m) == []
 
 
-def test_star_check_memo_never_holds_a_failing_morphism():
+def test_star_check_failing_report_is_stable():
     p3, p9 = refl_pair(3), refl_pair(9)
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])
@@ -320,7 +335,6 @@ def test_star_check_memo_never_holds_a_failing_morphism():
     first = check_star_morphism(m)
     assert first
     assert check_star_morphism(m) == first
-    assert not p9._valid_stars
 
 
 def test_compose_star_memoised_subgroup_still_honours_cap():
