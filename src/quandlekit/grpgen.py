@@ -16,7 +16,6 @@ projection is the chain of the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -60,6 +59,8 @@ class GenPair:
     )
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GenPair):
             return NotImplemented
         return self.group == other.group and set(self.omega) == set(other.omega)
@@ -78,14 +79,19 @@ class GenPair:
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
-    """Validate and build a GenPair; omega must generate the whole group."""
+    """Validate and build a GenPair; omega must generate the whole group.
+
+    The group is the closure of its generators, so an omega that contains
+    them all generates it and nothing is closed; any other omega is closed
+    and compared with the group.
+    """
     om = sorted(set(tuple(w) for w in omega))
     if not om:
         raise ValueError("omega must be nonempty")
     for w in om:
         if w not in group.elements:
             raise ValueError("omega element %s is not in the group" % (w,))
-    if set(om) != group.elements:
+    if not set(om).issuperset(group.generators):
         if close_group(om, cap=len(group) + 1).elements != group.elements:
             raise ValueError("omega does not generate the group")
     return GenPair(group, tuple(om))
@@ -428,53 +434,62 @@ def enumerate_star_morphisms(
 
     Candidate subsets of the target omega (of size |source omega|) are grown
     in index order with an incremental conjugation-closure prune, then
-    re-verified whole.  For each surviving subset, every bijection onto the
-    source omega is extended to a homomorphism of the generated subgroup by
-    propagation, rejecting on any conflict.
+    re-verified whole.  Both tests read the position in omega of each
+    conjugate w_i w_j w_i^-1 (None when it leaves omega) from a memo keyed
+    by the index pair (i, j), filled one entry at a time on first use, so
+    no conjugate is computed twice and none is computed unasked.  For each
+    surviving subset, every bijection onto the source omega is extended to
+    a homomorphism of the generated subgroup by propagation, rejecting on
+    any conflict.
+
+    subset_cap bounds the candidate subsets the pruned search tries (one
+    per prune test); trying more raises CapExceeded.
     """
     k = len(src.omega)
     omega2 = tgt.omega
     m = len(omega2)
     if k > m:
         return []
-    if math.comb(m, k) > subset_cap:
-        raise CapExceeded(
-            "subset search would scan %d subsets (cap %d)" % (math.comb(m, k), subset_cap)
-        )
     # the subset search and the extension search below it each recurse k deep
     require_recursion_depth(2 * k, "star morphism search from an omega of size %d" % k)
     omega2_pos = {p: i for i, p in enumerate(omega2)}
+    inverses: dict[int, Perm] = {}
+    conjugates: dict[tuple[int, int], int | None] = {}
     results: list[StarMorphism] = []
+    tried = 0
+
+    def conjugate_pos(i: int, j: int) -> int | None:
+        """Position of omega2[i] omega2[j] omega2[i]^-1 in omega2, or None."""
+        try:
+            return conjugates[i, j]
+        except KeyError:
+            pass
+        xi = inverses.get(i)
+        if xi is None:
+            xi = inverses[i] = inverse(omega2[i])
+        pos = conjugates[i, j] = omega2_pos.get(
+            compose(compose(omega2[i], omega2[j]), xi)
+        )
+        return pos
 
     def viable(chosen: list[int], newest: int) -> bool:
         # A conjugate that is outside omega, or that would have needed an
         # index we already passed, can never be added later.
-        members = [omega2[i] for i in chosen]
-        new = omega2[newest]
-        new_inv = inverse(new)
-        for old in members:
-            for x, xi, y in (
-                (new, new_inv, old),
-                (old, inverse(old), new),
-                (new, new_inv, new),
-            ):
-                z = compose(compose(x, y), xi)
-                pos = omega2_pos.get(z)
-                if pos is None:
-                    return False
-                if pos not in chosen and pos != newest and pos < newest:
+        for old in chosen:
+            for i, j in ((newest, old), (old, newest), (newest, newest)):
+                pos = conjugate_pos(i, j)
+                if pos is None or (pos < newest and pos not in chosen):
                     return False
         return True
 
     def grow(chosen: list[int], start: int) -> None:
+        nonlocal tried
         if len(chosen) == k:
-            gamma = tuple(omega2[i] for i in chosen)
-            gset = set(gamma)
-            for x in gamma:
-                xi = inverse(x)
-                for y in gamma:
-                    if compose(compose(x, y), xi) not in gset:
+            for i in chosen:
+                for j in chosen:
+                    if conjugate_pos(i, j) not in chosen:
                         return
+            gamma = tuple(omega2[i] for i in chosen)
             h_group = close_group(list(gamma), cap=cap)
             for proj in _extension_search(
                 list(gamma), list(src.omega), tgt.degree, src.degree, injective=True
@@ -483,6 +498,12 @@ def enumerate_star_morphisms(
                 results.append(StarMorphism(src, tgt, h_group, gamma, proj))
             return
         for idx in range(start, m - (k - len(chosen)) + 1):
+            tried += 1
+            if tried > subset_cap:
+                raise CapExceeded(
+                    "subset search tried more than subset_cap=%d candidate"
+                    " subsets" % subset_cap
+                )
             if viable(chosen, idx):
                 grow(chosen + [idx], idx + 1)
 

@@ -44,8 +44,9 @@ class QuandleHom:
         object.__setattr__(self, "mapping", mapping)
         if len(mapping) != self.source.n:
             raise ValueError("mapping length differs from the source size")
+        n2 = self.target.n
         for v in mapping:
-            if not 0 <= v < self.target.n:
+            if not 0 <= v < n2:
                 raise ValueError("mapping value %r out of target range" % (v,))
 
     def __call__(self, x: int) -> int:
@@ -85,10 +86,15 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     """Every homomorphism q1 -> q2, in lexicographic order of the map arrays.
 
     Backtracking assigns images point by point; an equivariance instance is
-    checked as soon as all three of its points have images.  Modes
-    "injective" and "surjective" add the obvious pruning.  The search
-    recurses once per source point, so a source too large for the
-    interpreter's stack raises CapExceeded.
+    checked as soon as all three of its points have images.  A point k that
+    some instance x |> y = k with x, y < k produces is forced: its only
+    possible image is img[x] |> img[y], so that one value is tried instead
+    of every target point (any other value fails that instance).  The rule
+    reads only the tables, so it holds for tables that are not quandles
+    too.  The forced value still goes through every check below, and the
+    output order is unchanged.  Modes "injective" and "surjective" add the
+    obvious pruning.  The search recurses once per source point, so a
+    source too large for the interpreter's stack raises CapExceeded.
     """
     if mode not in MODE_WORDS.values():
         raise ValueError("mode must be all, injective or surjective")
@@ -99,9 +105,14 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     t1, t2 = q1.table, q2.table
     # checks[k] lists the (x, y) whose equivariance instance closes at point k
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n1)]
+    # forced[k] is one (x, y) with x, y < k and x |> y = k, if there is one
+    forced: list[tuple[int, int] | None] = [None] * n1
     for x in range(n1):
         for y in range(n1):
-            checks[max(x, y, t1[x][y])].append((x, y))
+            z = t1[x][y]
+            checks[max(x, y, z)].append((x, y))
+            if x < z and y < z and forced[z] is None:
+                forced[z] = (x, y)
     injective = mode == "injective"
     surjective = mode == "surjective"
     out: list[QuandleHom] = []
@@ -112,7 +123,8 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
         if k == n1:
             out.append(QuandleHom(q1, q2, tuple(img)))
             return
-        for v in range(n2):
+        pin = forced[k]
+        for v in range(n2) if pin is None else (t2[img[pin[0]]][img[pin[1]]],):
             if injective and used[v]:
                 continue
             img[k] = v

@@ -115,6 +115,8 @@ class PermGroup:
         return p in self.elements
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PermGroup):
             return NotImplemented
         return self.degree == other.degree and self.elements == other.elements
@@ -139,8 +141,12 @@ def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup
     """Breadth-first closure of the generators, from the identity.
 
     The BFS multiplies on the right by generators and their inverses, so the
-    recorded witness words evaluate left to right.  Exceeding ``cap``
-    elements raises CapExceeded.
+    recorded witness words evaluate left to right.  A letter whose
+    permutation is the identity or equals an earlier letter's (the inverse
+    of an involution, a repeated generator) is left out of the alphabet:
+    it could only reach elements an earlier letter already reached, so the
+    witness words and their order are the same as with the full alphabet.
+    Exceeding ``cap`` elements raises CapExceeded.
     """
     gens = tuple(tuple(g) for g in generators)
     if not gens:
@@ -151,11 +157,14 @@ def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup
             raise ValueError("generators have mixed degrees")
         if not is_perm(g):
             raise ValueError("generator is not a permutation: %r" % (g,))
-    alphabet: list[tuple[Letter, Perm]] = []
-    for i, g in enumerate(gens):
-        alphabet.append(((i, 1), g))
-        alphabet.append(((i, -1), inverse(g)))
     e = identity(degree)
+    alphabet: list[tuple[Letter, Perm]] = []
+    seen = {e}
+    for i, g in enumerate(gens):
+        for letter, p in (((i, 1), g), ((i, -1), inverse(g))):
+            if p not in seen:
+                seen.add(p)
+                alphabet.append((letter, p))
     witness: dict[Perm, Word] = {e: ()}
     queue: deque[Perm] = deque([e])
     while queue:

@@ -53,6 +53,31 @@ def closure_words(gens):
     return words
 
 
+def bfs_witness(gens):
+    """Each element of <gens> with the first word reaching it, breadth first
+    from the identity over the full alphabet: for each generator index, the
+    generator (sign +1) and then its inverse (sign -1), duplicates and
+    identities included.  Items come in the order the search finds them."""
+    deg = len(gens[0])
+    alphabet = []
+    for i, g in enumerate(gens):
+        inv = [0] * deg
+        for j in range(deg):
+            inv[g[j]] = j
+        alphabet.append(((i, 1), tuple(g)))
+        alphabet.append(((i, -1), tuple(inv)))
+    start = tuple(range(deg))
+    words = {start: ()}
+    queue = [start]
+    for a in queue:
+        for letter, g in alphabet:
+            b = tuple(a[g[j]] for j in range(deg))
+            if b not in words:
+                words[b] = words[a] + (letter,)
+                queue.append(b)
+    return list(words.items())
+
+
 def brute_force_star_morphisms(src, tgt):
     """Keys of every star morphism src -> tgt, found by trying each subset of
     the target omega of the source omega's size with each bijection onto the

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from quandlekit import dihedral, quandle_from_text
+from quandlekit import cli, dihedral, enumerate_star_morphisms, quandle_from_text
 from quandlekit.cli import load_corpus, main
 from quandlekit.perm import RECURSION_MARGIN
 
@@ -165,6 +165,28 @@ def test_star_homs(tmp_path, capsys):
     assert len(first["subgroup"]) == 6
     assert len(first["pi"]) == 6
     assert first["pi_injective"] is True
+
+
+def test_star_homs_subset_cap(tmp_path, capsys, monkeypatch):
+    # inn(R9) -> inn(R27) has C(27, 9) candidate subsets, more than the
+    # default subset_cap, but the pruned search tries far fewer
+    paths = {}
+    for n in (3, 9, 27):
+        paths[n] = tmp_path / ("p%d.pair" % n)
+        main(["make", "genpair", "dihedral", str(n), "reflections", "--out", str(paths[n])])
+    capsys.readouterr()
+    rc, out = run(capsys, "star-homs", str(paths[9]), str(paths[27]))
+    assert rc == 0
+    assert out.splitlines()[0] == "count: 162"
+
+    def capped(src, tgt, cap):
+        return enumerate_star_morphisms(src, tgt, cap=cap, subset_cap=5)
+
+    monkeypatch.setattr(cli, "enumerate_star_morphisms", capped)
+    rc = main(["star-homs", str(paths[3]), str(paths[9])])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "subset_cap=5" in captured.err
 
 
 def test_verify_ok(capsys):

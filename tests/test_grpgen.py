@@ -268,6 +268,64 @@ def test_star_enumeration_matches_brute_force():
     assert seen > 0
 
 
+def test_star_enumeration_matches_brute_force_on_unstable_omegas():
+    # omegas that are not conjugation-stable, so conjugates leave omega and
+    # the enumerator's conjugate memo holds None entries
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    t3 = all_transpositions(3)
+    swap = (1, 0)
+    rot4 = tuple((i + 1) % 4 for i in range(4))
+    pairs = [
+        make_genpair(cyclic_group(2), [swap]),
+        make_genpair(s3, t3[:2]),
+        make_genpair(s3, t3),
+        make_genpair(s3, [t3[0], (1, 2, 0)]),
+        make_genpair(s4, [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]),
+        make_genpair(dihedral_group(4), [rot4, dihedral_reflections(4)[0]]),
+    ]
+    assert not all(p.conj_stable for p in pairs)
+    seen = 0
+    for src, tgt in itertools.product(pairs, repeat=2):
+        fast = enumerate_star_morphisms(src, tgt)
+        keys = {m.key() for m in fast}
+        assert len(keys) == len(fast)
+        assert keys == brute_force_star_morphisms(src, tgt)
+        seen += len(fast)
+    assert seen > 0
+
+
+def test_star_enumeration_subset_cap_counts_subsets_tried():
+    # C(27, 9) = 4 686 825 subsets exceed the default cap of 1 000 000, but
+    # the pruned search tries far fewer: 27 * phi(9) = 162 morphisms
+    assert len(enumerate_star_morphisms(inn(dihedral(9)), inn(dihedral(27)))) == 162
+    with pytest.raises(CapExceeded, match="subset_cap=5"):
+        enumerate_star_morphisms(refl_pair(3), refl_pair(9), subset_cap=5)
+
+
+def test_make_genpair_closes_only_when_omega_misses_a_generator(monkeypatch):
+    import quandlekit.grpgen as grpgen
+
+    closures = []
+
+    def counting_close_group(gens, cap):
+        closures.append(len(gens))
+        return close_group(gens, cap=cap)
+
+    monkeypatch.setattr(grpgen, "close_group", counting_close_group)
+    s3 = symmetric_group(3)
+    make_genpair(s3, s3.generators)
+    make_genpair(s3, [*s3.generators, all_transpositions(3)[1]])
+    make_genpair(s3, s3.sorted_elements())
+    assert closures == []
+    make_genpair(dihedral_group(9), dihedral_reflections(9))
+    assert len(closures) == 1
+    with pytest.raises(ValueError, match="does not generate"):
+        make_genpair(s3, [s3.generators[0]])
+    with pytest.raises(ValueError, match="does not generate"):
+        make_genpair(s3, [s3.generators[1]])
+    assert len(closures) == 3
+
+
 def test_enumerate_group_homs_counts():
     c3 = cyclic_group(3)
     c2 = cyclic_group(2)

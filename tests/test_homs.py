@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    Quandle,
     QuandleHom,
     check_hom,
     check_star_morphism,
@@ -82,15 +83,32 @@ def test_enumerate_modes_nest():
 
 
 def test_enumeration_matches_brute_force_on_census():
+    # as ordered lists: the enumerator promises lexicographic order, and the
+    # oracle filters itertools.product, which is in that order
     reps = []
-    for n in range(1, 4):
+    for n in range(1, 5):
         reps.extend(iso_class_representatives(n))
     for q1 in reps:
         for q2 in reps:
             for mode in ("all", "injective", "surjective"):
-                fast = hom_mappings(enumerate_homs(q1, q2, mode))
-                slow = sorted(brute_force_homs(q1, q2, mode))
-                assert fast == slow
+                fast = [f.mapping for f in enumerate_homs(q1, q2, mode)]
+                assert fast == brute_force_homs(q1, q2, mode)
+
+
+@st.composite
+def arbitrary_tables(draw, max_order=4):
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    return Quandle([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@given(arbitrary_tables(), arbitrary_tables(), st.sampled_from(["all", "injective", "surjective"]))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_brute_force_on_arbitrary_tables(q1, q2, mode):
+    # tables that need not satisfy any quandle axiom: forcing a point from
+    # an instance x |> y = k must not rely on the axioms
+    fast = [f.mapping for f in enumerate_homs(q1, q2, mode)]
+    assert fast == brute_force_homs(q1, q2, mode)
 
 
 def test_trivial_quandle_hom_count():

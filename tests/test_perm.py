@@ -25,7 +25,7 @@ from quandlekit import (
 )
 from quandlekit.perm import centralizer_of_subset_is_trivial, is_conjugation_stable
 
-from helpers import conjugacy_classes, naive_closure
+from helpers import bfs_witness, conjugacy_classes, naive_closure
 
 
 def test_compose_applies_right_factor_first():
@@ -127,6 +127,38 @@ def test_closure_is_a_group_and_matches_naive_order(gens):
     for p in elems[:8]:
         for q in elems[:8]:
             assert compose(p, q) in g.elements
+
+
+def test_close_group_witness_matches_full_alphabet_bfs():
+    # involutions (whose inverse letters are skipped), a repeated generator,
+    # the identity as a generator, and a 3-cycle whose inverse is distinct
+    swap = (1, 0, 2, 3)
+    rot = (1, 2, 3, 0)
+    cyc = (1, 2, 0, 3)
+    e = identity(4)
+    for gens in (
+        [swap],
+        [e],
+        [swap, swap],
+        [e, swap, rot],
+        [rot, swap, rot, e],
+        [cyc, swap, cyc],
+        all_transpositions(4),
+        dihedral_reflections(5),
+        [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+    ):
+        g = close_group(gens)
+        assert list(g.witness.items()) == bfs_witness(gens)
+
+
+@given(generator_sets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_close_group_witness_matches_bfs_with_repeats(gens, data):
+    # repeat some generators and mix in the identity
+    extra = data.draw(st.lists(st.sampled_from(gens + [identity(len(gens[0]))]), max_size=3))
+    order = data.draw(st.permutations(gens + extra))
+    g = close_group(order)
+    assert list(g.witness.items()) == bfs_witness(order)
 
 
 def test_symmetric_group_order():
