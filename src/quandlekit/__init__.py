@@ -14,7 +14,6 @@ from .perm import (
     cyclic_group,
     dihedral_group,
     dihedral_reflections,
-    evaluate_word,
     find_dihedral_presentation,
     group_from_lines,
     group_to_lines,

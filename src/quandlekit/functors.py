@@ -79,59 +79,53 @@ F_surj_mor = induced_surjective
 F_inj_mor = induced_injective
 
 
-def G_surj_mor(
-    m: SurjMorphism,
-    source_quandle: Quandle | None = None,
-    target_quandle: Quandle | None = None,
-) -> QuandleHom:
+def G_surj_mor(m: SurjMorphism, source_quandle: Quandle, target_quandle: Quandle) -> QuandleHom:
     """Restrict the group map to omega, reindexed through the canonical points.
 
     Point i of the conjugation quandle on omega is the i-th omega member in
     canonical order, so the restriction is a plain index translation.  The
-    result is built, not checked: check_hom checks it.
+    quandles are to_quandle of m's source and target.  The result is built,
+    not checked: check_hom checks it.
     """
-    q1 = source_quandle if source_quandle is not None else to_quandle(m.source)
-    q2 = target_quandle if target_quandle is not None else to_quandle(m.target)
-    pos2 = {p: i for i, p in enumerate(m.target.omega)}
-    return QuandleHom(q1, q2, tuple(pos2[m.mapping[w]] for w in m.source.omega))
+    pos2 = m.target.omega_position
+    return QuandleHom(
+        source_quandle, target_quandle, tuple(pos2[m.mapping[w]] for w in m.source.omega)
+    )
 
 
-def G_inj_mor(
-    m: StarMorphism,
-    source_quandle: Quandle | None = None,
-    target_quandle: Quandle | None = None,
-) -> QuandleHom:
+def G_inj_mor(m: StarMorphism, source_quandle: Quandle, target_quandle: Quandle) -> QuandleHom:
     """Send each source omega member to the unique subset member above it.
 
     The projection of a valid m restricts to a bijection subset -> source
     omega, so the reverse direction is a well-defined injective quandle map.
-    The result is built, not checked: check_hom checks it.
+    The quandles are to_quandle of m's source and target.  The result is
+    built, not checked: check_hom checks it.
     """
-    q1 = source_quandle if source_quandle is not None else to_quandle(m.source)
-    q2 = target_quandle if target_quandle is not None else to_quandle(m.target)
     back = {m.proj[g]: g for g in m.domain_omega}
-    pos2 = {p: i for i, p in enumerate(m.target.omega)}
-    return QuandleHom(q1, q2, tuple(pos2[back[w]] for w in m.source.omega))
+    pos2 = m.target.omega_position
+    return QuandleHom(
+        source_quandle, target_quandle, tuple(pos2[back[w]] for w in m.source.omega)
+    )
 
 
-def theta(q: Quandle, pair: GenPair | None = None, cap: int = DEFAULT_CAP) -> QuandleHom:
+def theta(q: Quandle, pair: GenPair) -> QuandleHom:
     """The round-trip isomorphism on the quandle side: symmetry-point back to point.
 
-    Source is the conjugation quandle on the quandle's own symmetries; the
-    map matches each of its points (a permutation) with the point of q whose
-    row it is.  Faithfulness makes that unambiguous.  The result is built,
-    not checked: verify_equivalence checks it with check_hom.
+    pair is to_pair(q).  Source is the conjugation quandle on the quandle's
+    own symmetries; the map matches each of its points (a permutation) with
+    the point of q whose row it is.  Faithfulness makes that unambiguous.
+    The result is built, not checked: verify_equivalence checks it with
+    check_hom.
     """
-    p = pair if pair is not None else to_pair(q, cap)
     back = {q.table[x]: x for x in range(q.n)}
-    return QuandleHom(to_quandle(p), q, tuple(back[w] for w in p.omega))
+    return QuandleHom(to_quandle(pair), q, tuple(back[w] for w in pair.omega))
 
 
 def conjugation_action(p: GenPair) -> dict[Perm, Perm]:
     """For each group element g, the permutation of omega points induced by
     conjugation with g: a group isomorphism onto the inner group of the
     conjugation quandle on omega (not checked here)."""
-    pos = {w: i for i, w in enumerate(p.omega)}
+    pos = p.omega_position
     return {g: tuple(pos[conjugate(g, w)] for w in p.omega) for g in p.group.elements}
 
 

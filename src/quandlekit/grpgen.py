@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .perm import (
     DEFAULT_CAP,
@@ -45,11 +45,11 @@ class GenPair:
     trusts its arguments; make_genpair validates outside input.
     conj_stable records whether omega is closed under conjugation by the
     whole group; faithful records whether only the identity centralizes all
-    of omega.  Both are computed on first use, so pairs that never ask skip
-    the O(|G| |omega|) scans.
+    of omega; omega_position maps each omega member to its index.  All are
+    computed on first use.
 
-    _subgroups, keyed by content only, maps a sorted subset of omega to its
-    close_group result, for compose_star.
+    _subgroups, keyed by content only, maps a sorted subset of omega to the
+    subgroup it generates; subgroup() reads and fills it.
     """
 
     group: PermGroup
@@ -76,6 +76,26 @@ class GenPair:
     @cached_property
     def faithful(self) -> bool:
         return centralizer_of_subset_is_trivial(self.group, self.omega)
+
+    @cached_property
+    def omega_position(self) -> dict[Perm, int]:
+        return {w: i for i, w in enumerate(self.omega)}
+
+    def subgroup(
+        self, gamma: tuple[Perm, ...], cap: int, build: Callable[[], PermGroup]
+    ) -> PermGroup:
+        """The subgroup generated by gamma, a sorted subset of omega.
+
+        build() makes it on the first request for gamma and the result is
+        remembered; a remembered group larger than cap raises CapExceeded
+        as close_group would.
+        """
+        group = self._subgroups.get(gamma)
+        if group is None:
+            group = self._subgroups[gamma] = build()
+        elif len(group) > cap:
+            raise CapExceeded("group closure exceeded the cap of %d elements" % cap)
+        return group
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -134,6 +154,21 @@ def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
     )
 
 
+def _hom_failure(group: PermGroup, f: dict[Perm, Perm]) -> tuple[Perm, Perm] | None:
+    """The first (g, s), g in the group and s one of its generators, with
+    f(g s) != f(g) f(s); None when f is a homomorphism.
+
+    The generators suffice: g = e gives f(e) = e, and then f(g w) =
+    f(g) f(w) follows for every word w by induction on its length.
+    """
+    for g in group.elements:
+        fg = f[g]
+        for s in group.generators:
+            if f[compose(g, s)] != compose(fg, f[s]):
+                return g, s
+    return None
+
+
 def check_surj_morphism(m: SurjMorphism) -> list[str]:
     """Report of violated clauses; empty means the morphism is valid."""
     report: list[str] = []
@@ -145,14 +180,10 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     if not set(m.mapping.values()) <= tgt.elements:
         report.append("containment: some image lies outside the target group")
         return report
-    for g in src.elements:
-        fg = m.mapping[g]
-        for h in src.elements:
-            if m.mapping[compose(g, h)] != compose(fg, m.mapping[h]):
-                report.append(
-                    "homomorphism: f(g h) != f(g) f(h) for g=%s h=%s" % (g, h)
-                )
-                return report
+    bad = _hom_failure(src, m.mapping)
+    if bad is not None:
+        report.append("homomorphism: f(g s) != f(g) f(s) for g=%s s=%s" % bad)
+        return report
     omega_images = [m.mapping[w] for w in m.source.omega]
     if not set(omega_images) <= set(m.target.omega):
         report.append("omega containment: image of omega leaves the target omega")
@@ -230,7 +261,9 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
         m.domain_group.elements
     ):
         report.append("generation: subset does not generate the domain group")
-    for h in m.domain_group.elements:
+    # conjugation by each generator permutes a stable gamma, so the
+    # generators stand for the whole domain group
+    for h in m.domain_group.generators:
         hinv = inverse(h)
         for g in gamma:
             if compose(compose(h, g), hinv) not in gamma:
@@ -247,12 +280,9 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if not set(m.proj.values()) <= src.group.elements:
         report.append("homomorphism: proj image leaves the source group")
         return report
-    for g in m.domain_group.elements:
-        fg = m.proj[g]
-        for h in m.domain_group.elements:
-            if m.proj[compose(g, h)] != compose(fg, m.proj[h]):
-                report.append("homomorphism: proj(g h) != proj(g) proj(h)")
-                return report
+    if _hom_failure(m.domain_group, m.proj) is not None:
+        report.append("homomorphism: proj(g s) != proj(g) proj(s)")
+        return report
     gamma_images = [m.proj[g] for g in m.domain_omega]
     if not set(gamma_images) <= set(src.omega):
         report.append("bijectivity: proj carries the subset outside the source omega")
@@ -269,12 +299,11 @@ def compose_star(
     """Composite of m1 then m2 (written back to front, like functions).
 
     The composite subset is the part of m2's subset projecting into m1's;
-    its closure carries the chained projection.  The closure of each subset
-    is built once and remembered in m2's target pair; a remembered group
-    larger than cap raises CapExceeded as close_group would.  The result is
-    re-checked (check_star_morphism checks each distinct composite in full
-    once) and a failure raises RuntimeError, since it would signal a bug or
-    invalid inputs rather than a user error.
+    its closure, from m2's target pair's subgroup(), carries the chained
+    projection.  The result is built, not checked: check_star_morphism
+    checks it.  An empty composite subset or a projection that leaves m1's
+    domain raises RuntimeError, since either means the inputs were not
+    valid morphisms.
     """
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
@@ -282,12 +311,7 @@ def compose_star(
     new_gamma = tuple(sorted(g for g in m2.domain_omega if m2.proj[g] in gamma1))
     if not new_gamma:
         raise RuntimeError("composite subset is empty; inputs were not valid")
-    subgroups = m2.target._subgroups
-    group = subgroups.get(new_gamma)
-    if group is None:
-        group = subgroups[new_gamma] = close_group(list(new_gamma), cap=cap)
-    elif len(group) > cap:
-        raise CapExceeded("group closure exceeded the cap of %d elements" % cap)
+    group = m2.target.subgroup(new_gamma, cap, lambda: close_group(list(new_gamma), cap=cap))
     proj = {}
     for h in group.elements:
         mid = m2.proj[h]
@@ -452,7 +476,7 @@ def enumerate_star_morphisms(
         return []
     # the subset search and the extension search below it each recurse k deep
     require_recursion_depth(2 * k, "star morphism search from an omega of size %d" % k)
-    omega2_pos = {p: i for i, p in enumerate(omega2)}
+    omega2_pos = tgt.omega_position
     inverses: dict[int, Perm] = {}
     conjugates: dict[tuple[int, int], int | None] = {}
     results: list[StarMorphism] = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism
-from .perm import DEFAULT_CAP, compose, identity, inverse, require_recursion_depth
+from .perm import DEFAULT_CAP, require_recursion_depth
 from .quandle import (
     GenPair,
     Quandle,
@@ -156,18 +156,6 @@ def _require_faithful(f: QuandleHom) -> None:
         raise ValueError("induced maps need faithful source and target")
 
 
-def _rewrite(words_group, letter_images, degree: int):
-    """Map each element through its witness word with the letters replaced."""
-    out = {}
-    for g, word in words_group.witness.items():
-        img = identity(degree)
-        for idx, sign in word:
-            t = letter_images[idx]
-            img = compose(img, t if sign == 1 else inverse(t))
-        out[g] = img
-    return out
-
-
 def induced_surjective(
     f: QuandleHom,
     source_pair: GenPair | None = None,
@@ -176,11 +164,12 @@ def induced_surjective(
 ) -> SurjMorphism:
     """The group map between inner groups induced by a surjective homomorphism.
 
-    It sends the symmetry at x to the symmetry at f(x) and is extended to
-    whole elements by rewriting witness words.  f itself is validated (a
-    ValueError for a non-hom, a non-surjective or an unfaithful one); the
-    result is built, not checked: check_surj_morphism checks it.  Optional
-    pairs must be the ones built by inn().
+    It is the phi with f g = phi(g) f, built pointwise from that equation:
+    phi(g)[f(y)] = f(g[y]), read at one preimage y of each target point.
+    f itself is validated (a ValueError for a non-hom, a non-surjective or
+    an unfaithful one); the result is built, not checked:
+    check_surj_morphism checks it.  Optional pairs must be the ones built
+    by inn().
     """
     _require_valid(f)
     _require_faithful(f)
@@ -188,9 +177,9 @@ def induced_surjective(
         raise ValueError("f is not surjective")
     p1 = source_pair if source_pair is not None else inn(f.source, cap)
     p2 = target_pair if target_pair is not None else inn(f.target, cap)
-    assert len(p1.group.generators) == f.source.n
-    letter_images = [f.target.table[f.mapping[i]] for i in range(f.source.n)]
-    return SurjMorphism(p1, p2, _rewrite(p1.group, letter_images, f.target.n))
+    m = f.mapping
+    pre = [m.index(z) for z in range(f.target.n)]
+    return SurjMorphism(p1, p2, {g: tuple(m[g[y]] for y in pre) for g in p1.group.elements})
 
 
 def induced_injective(
@@ -202,10 +191,10 @@ def induced_injective(
     """The backwards-partial morphism induced by an injective homomorphism.
 
     The domain subgroup is the closure of the symmetries at image points,
-    acting on the whole target; the projection sends the symmetry at f(x)
-    back to the symmetry at x, extended by rewriting witness words.  f is
-    validated as in induced_surjective; the result is built, not checked:
-    check_star_morphism checks it.
+    acting on the whole target and remembered in the target pair; the
+    projection is built pointwise from f proj(h) = h f on the image:
+    proj(h)[y] = f^-1(h[f(y)]).  f is validated as in induced_surjective;
+    the result is built, not checked: check_star_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
@@ -213,14 +202,14 @@ def induced_injective(
         raise ValueError("f is not injective")
     p1 = source_pair if source_pair is not None else inn(f.source, cap)
     p2 = target_pair if target_pair is not None else inn(f.target, cap)
-    image_pts = tuple(sorted(set(f.mapping)))
-    witness = SubquandleWitness(f.target, image_pts)
-    rel = inn_relative(f.target, witness, cap)
-    assert len(rel.group.generators) == len(image_pts)
-    back = {f.mapping[x]: x for x in range(f.source.n)}
-    letter_images = [f.source.table[back[p]] for p in image_pts]
-    proj = _rewrite(rel.group, letter_images, f.source.n)
-    return StarMorphism(p1, p2, rel.group, rel.omega, proj)
+    m = f.mapping
+    gamma = tuple(sorted(f.target.table[v] for v in m))
+    group = p2.subgroup(
+        gamma, cap, lambda: inn_relative(f.target, SubquandleWitness(f.target, m), cap).group
+    )
+    back = {v: y for y, v in enumerate(m)}
+    proj = {h: tuple(back[h[v]] for v in m) for h in group.elements}
+    return StarMorphism(p1, p2, group, gamma, proj)
 
 
 def homs_to_dict(q1: Quandle, q2: Quandle, mode: str, homs: Sequence[QuandleHom]) -> dict:

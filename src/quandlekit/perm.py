@@ -1,8 +1,7 @@
 """Permutations of {0, ..., n-1} and small fully enumerated permutation groups.
 
 A permutation is a plain tuple of images: ``p[i]`` is where point ``i`` goes.
-Groups keep every element explicitly, together with one witness word per
-element over the generating set, so membership tests, centralizers and
+Groups keep every element explicitly, so membership tests, centralizers and
 conjugation-stability checks are plain iteration.  Everything is desk scale
 by design: closures refuse to grow past a configurable cap instead of
 switching to clever data structures.
@@ -16,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
-Letter = tuple[int, int]  # (generator index, sign); sign -1 means the inverse
-Word = tuple[Letter, ...]
 
 DEFAULT_CAP = 100_000
 # Stack frames kept free for the callers of a recursive search and its callees.
@@ -95,16 +92,13 @@ def perm_from_text(text: str) -> Perm:
 class PermGroup:
     """A finite permutation group with every element listed.
 
-    ``witness[g]`` is the first word over the generators found for ``g`` by
-    the closure BFS: shortest in generator length, ties broken by letter
-    order (generator index, then sign +1 before -1).  Instances are treated
-    as immutable once built.
+    ``generators`` are kept as given to close_group, and ``elements`` is
+    their closure.  Instances are treated as immutable once built.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     elements: frozenset[Perm]
-    witness: dict[Perm, Word]
     _sorted: list[Perm] | None = field(default=None, repr=False)
     _index: dict[Perm, int] | None = field(default=None, repr=False)
 
@@ -140,12 +134,9 @@ class PermGroup:
 def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup:
     """Breadth-first closure of the generators, from the identity.
 
-    The BFS multiplies on the right by generators and their inverses, so the
-    recorded witness words evaluate left to right.  A letter whose
-    permutation is the identity or equals an earlier letter's (the inverse
-    of an involution, a repeated generator) is left out of the alphabet:
-    it could only reach elements an earlier letter already reached, so the
-    witness words and their order are the same as with the full alphabet.
+    The BFS multiplies on the right by the distinct non-identity
+    generators only: in a finite group every inverse is a positive power,
+    so they reach every element.  The generators are kept as given.
     Exceeding ``cap`` elements raises CapExceeded.
     """
     gens = tuple(tuple(g) for g in generators)
@@ -158,44 +149,21 @@ def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup
         if not is_perm(g):
             raise ValueError("generator is not a permutation: %r" % (g,))
     e = identity(degree)
-    alphabet: list[tuple[Letter, Perm]] = []
+    alphabet = [g for g in dict.fromkeys(gens) if g != e]
     seen = {e}
-    for i, g in enumerate(gens):
-        for letter, p in (((i, 1), g), ((i, -1), inverse(g))):
-            if p not in seen:
-                seen.add(p)
-                alphabet.append((letter, p))
-    witness: dict[Perm, Word] = {e: ()}
     queue: deque[Perm] = deque([e])
     while queue:
         cur = queue.popleft()
-        w = witness[cur]
-        for letter, g in alphabet:
+        for g in alphabet:
             nxt = compose(cur, g)
-            if nxt not in witness:
-                if len(witness) >= cap:
+            if nxt not in seen:
+                if len(seen) >= cap:
                     raise CapExceeded(
                         "group closure exceeded the cap of %d elements" % cap
                     )
-                witness[nxt] = w + (letter,)
+                seen.add(nxt)
                 queue.append(nxt)
-    return PermGroup(degree, gens, frozenset(witness), witness)
-
-
-def evaluate_word(group: PermGroup, word: Iterable[Letter]) -> Perm:
-    """Product of generators and inverses in word order; () is the identity."""
-    out = identity(group.degree)
-    for idx, sign in word:
-        if not 0 <= idx < len(group.generators):
-            raise IndexError("generator index %d out of range" % idx)
-        if sign == 1:
-            g = group.generators[idx]
-        elif sign == -1:
-            g = inverse(group.generators[idx])
-        else:
-            raise ValueError("letter sign must be +1 or -1, got %r" % (sign,))
-        out = compose(out, g)
-    return out
+    return PermGroup(degree, gens, frozenset(seen))
 
 
 def _require_subset(group: PermGroup, subset: Iterable[Perm]) -> list[Perm]:
@@ -220,9 +188,14 @@ def centralizer_of_subset_is_trivial(group: PermGroup, subset: Iterable[Perm]) -
 
 
 def is_conjugation_stable(group: PermGroup, subset: Iterable[Perm]) -> bool:
-    """True when g s g^-1 stays in the subset for every g in the group."""
+    """True when g s g^-1 stays in the subset for every g in the group.
+
+    Only the generators are tried: conjugation by one maps the finite
+    subset injectively into itself, hence onto it, so their inverses and
+    products keep it too.
+    """
     sset = frozenset(_require_subset(group, subset))
-    for g in group.elements:
+    for g in group.generators:
         ginv = inverse(g)
         for s in sset:
             if compose(compose(g, s), ginv) not in sset:

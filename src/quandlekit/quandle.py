@@ -292,11 +292,11 @@ def inn(q: Quandle, cap: int = DEFAULT_CAP) -> GenPair:
     return _inn_from_points(q, range(q.n), cap)
 
 
-def inn_relative(q: Quandle, witness: SubquandleWitness, cap: int = DEFAULT_CAP) -> GenPair:
+def inn_relative(q: Quandle, subquandle: SubquandleWitness, cap: int = DEFAULT_CAP) -> GenPair:
     """Closure of the symmetries at the subset's points, acting on all of q."""
-    if witness.parent != q:
-        raise ValueError("witness belongs to a different quandle")
-    return _inn_from_points(q, witness.points, cap)
+    if subquandle.parent != q:
+        raise ValueError("subquandle belongs to a different quandle")
+    return _inn_from_points(q, subquandle.points, cap)
 
 
 def quandle_to_text(q: Quandle) -> str:

@@ -53,29 +53,36 @@ def closure_words(gens):
     return words
 
 
-def bfs_witness(gens):
-    """Each element of <gens> with the first word reaching it, breadth first
-    from the identity over the full alphabet: for each generator index, the
-    generator (sign +1) and then its inverse (sign -1), duplicates and
-    identities included.  Items come in the order the search finds them."""
-    deg = len(gens[0])
-    alphabet = []
-    for i, g in enumerate(gens):
-        inv = [0] * deg
-        for j in range(deg):
-            inv[g[j]] = j
-        alphabet.append(((i, 1), tuple(g)))
-        alphabet.append(((i, -1), tuple(inv)))
-    start = tuple(range(deg))
-    words = {start: ()}
-    queue = [start]
-    for a in queue:
-        for letter, g in alphabet:
-            b = tuple(a[g[j]] for j in range(deg))
-            if b not in words:
-                words[b] = words[a] + (letter,)
-                queue.append(b)
-    return list(words.items())
+def evaluate_words(words, images):
+    """Map each element of a closure_words dict to its word with generator i
+    replaced by images[i], multiplied out left to right."""
+    deg = len(images[0])
+    out = {}
+    for h, word in words.items():
+        img = tuple(range(deg))
+        for i in word:
+            img = tuple(img[images[i][j]] for j in range(deg))
+        out[h] = img
+    return out
+
+
+def induced_by_words(f, mode):
+    """(domain, map) of the group map that the quandle hom f induces in
+    mode "surjective" or "injective", the slow way.  Surjective: the domain
+    is generated by the source symmetries, and the symmetry at x goes to the
+    symmetry at f(x).  Injective: the domain is generated by the target
+    symmetries at the image points, and the symmetry at f(x) goes back to
+    the symmetry at x.  Each domain element is evaluated along its closure
+    word."""
+    q1, q2, m = f.source, f.target, f.mapping
+    source_symmetries = [q1.table[x] for x in range(q1.n)]
+    image_symmetries = [q2.table[v] for v in m]
+    if mode == "surjective":
+        gens, images = source_symmetries, image_symmetries
+    else:
+        gens, images = image_symmetries, source_symmetries
+    words = closure_words(gens)
+    return frozenset(words), evaluate_words(words, images)
 
 
 def brute_force_star_morphisms(src, tgt):
@@ -86,15 +93,9 @@ def brute_force_star_morphisms(src, tgt):
     keys = set()
     for gamma in itertools.combinations(tgt.omega, len(src.omega)):
         words = closure_words(gamma)
-        domain = PermGroup(tgt.degree, gamma, frozenset(words), {})
+        domain = PermGroup(tgt.degree, gamma, frozenset(words))
         for images in itertools.permutations(src.omega):
-            proj = {}
-            for h, word in words.items():
-                img = tuple(range(src.degree))
-                for i in word:
-                    img = tuple(img[images[i][j]] for j in range(src.degree))
-                proj[h] = img
-            m = StarMorphism(src, tgt, domain, gamma, proj)
+            m = StarMorphism(src, tgt, domain, gamma, evaluate_words(words, images))
             if not check_star_morphism(m):
                 keys.add(m.key())
     return keys

@@ -61,7 +61,7 @@ def test_to_quandle_requires_stable_faithful():
 
 def test_round_trip_theta_is_isomorphism():
     for q in (dihedral(3), dihedral(9), conj_s3()):
-        th = theta(q)
+        th = theta(q, to_pair(q))
         assert check_hom(th) == []
         assert th.is_injective() and th.is_surjective()
         assert th.source.n == q.n
@@ -114,7 +114,7 @@ def test_backward_functor_inverts_forward():
     p3, p9 = to_pair(r3), to_pair(r9)
     th3, th9 = theta(r3, p3), theta(r9, p9)
     for f in enumerate_homs(r3, r9, "injective"):
-        gf = G_inj_mor(F_inj_mor(f, p3, p9))
+        gf = G_inj_mor(F_inj_mor(f, p3, p9), to_quandle(p3), to_quandle(p9))
         assert check_hom(gf) == [] and gf.is_injective()
         left = tuple(th9.mapping[v] for v in gf.mapping)
         right = tuple(f.mapping[v] for v in th3.mapping)
@@ -126,7 +126,7 @@ def test_backward_functor_surjective_flavor():
     p9, p3 = to_pair(r9), to_pair(r3)
     th9, th3 = theta(r9, p9), theta(r3, p3)
     f = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
-    gf = G_surj_mor(F_surj_mor(f, p9, p3))
+    gf = G_surj_mor(F_surj_mor(f, p9, p3), to_quandle(p9), to_quandle(p3))
     assert check_hom(gf) == [] and gf.is_surjective()
     left = tuple(th3.mapping[v] for v in gf.mapping)
     right = tuple(f.mapping[v] for v in th9.mapping)
@@ -141,8 +141,8 @@ def test_functor_identity_laws():
     assert F_inj_mor(identity_hom(r3), p3, p3) == identity_star(p3)
     assert F_surj_mor(identity_hom(r3), p3, p3) == identity_surj(p3)
     cq = to_quandle(p3)
-    assert G_inj_mor(identity_star(p3)) == identity_hom(cq)
-    assert G_surj_mor(identity_surj(p3)) == identity_hom(cq)
+    assert G_inj_mor(identity_star(p3), cq, cq) == identity_hom(cq)
+    assert G_surj_mor(identity_surj(p3), cq, cq) == identity_hom(cq)
 
 
 def test_verify_equivalence_small_corpus():

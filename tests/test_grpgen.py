@@ -97,6 +97,26 @@ def test_surj_morphism_rejects_broken_maps():
     assert any("omega" in c for c in clauses)
 
 
+def cyclic_pair(n):
+    g = cyclic_group(n)
+    return make_genpair(g, g.generators)
+
+
+def test_morphism_checks_find_a_wrong_value_off_the_generators():
+    # right on the generator, wrong at one element that is not one: a cube
+    # of the rotation, or the identity
+    p = cyclic_pair(6)
+    rot = p.group.generators[0]
+    cube = compose(rot, compose(rot, rot))
+    for at, value in ((cube, compose(rot, rot)), (p.group.identity, cube)):
+        mapping = {**identity_surj(p).mapping, at: value}
+        report = check_surj_morphism(SurjMorphism(p, p, mapping))
+        assert len(report) == 1 and report[0].startswith("homomorphism:"), report
+        star = StarMorphism(p, p, p.group, p.omega, mapping)
+        report = check_star_morphism(star)
+        assert len(report) == 1 and report[0].startswith("homomorphism:"), report
+
+
 def test_enumerate_surj_morphisms_r9_to_r3():
     p9, p3 = refl_pair(9), refl_pair(3)
     ms = enumerate_surj_morphisms(p9, p3)

@@ -1,20 +1,25 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    CapExceeded,
     Quandle,
     QuandleHom,
     check_hom,
     check_star_morphism,
     check_surj_morphism,
     compose_homs,
+    compose_star,
     conjugation_quandle,
     dihedral,
     enumerate_group_homs,
     enumerate_homs,
     homs_to_dict,
     identity_hom,
+    identity_star,
     induced_injective,
     induced_surjective,
     inn,
@@ -22,9 +27,10 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
+from quandlekit import homs
 from quandlekit.quandle import is_faithful
 
-from helpers import brute_force_homs, hom_mappings, iso_class_representatives
+from helpers import brute_force_homs, hom_mappings, induced_by_words, iso_class_representatives
 
 
 def test_hom_validation():
@@ -173,6 +179,23 @@ def test_induced_injective_r3_to_r9():
         assert m.proj_is_injective()
 
 
+def test_induced_injective_closes_each_image_subgroup_once(monkeypatch):
+    r3, r9 = dihedral(3), dihedral(9)
+    p3, p9 = inn(r3), inn(r9)
+    calls = []
+    real = homs.inn_relative
+    monkeypatch.setattr(homs, "inn_relative", lambda *a: calls.append(a) or real(*a))
+    fs = enumerate_homs(r3, r9, "injective")
+    ms = [induced_injective(f, p3, p9) for f in fs]
+    assert len(fs) == 18 and len(calls) == len({frozenset(f.mapping) for f in fs}) == 3
+    # the closures live in the target pair, where compose_star finds them
+    assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in ms)
+    assert compose_star(ms[0], identity_star(p3)) == ms[0] and len(calls) == 3
+    # a remembered closure still honours a smaller cap
+    with pytest.raises(CapExceeded, match="cap of 5 elements"):
+        induced_injective(fs[0], p3, p9, cap=5)
+
+
 def test_induced_injective_rejects_non_injective():
     r9, r3 = dihedral(9), dihedral(3)
     f = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
@@ -244,3 +267,25 @@ def test_dihedral_automorphisms_count(n):
         if f.is_surjective()
     ]
     assert len(auts) == n * units
+
+
+def test_induced_maps_match_word_evaluation():
+    # every surjective and injective hom among the faithful census classes
+    # of order <= 4, R3, R5, R9 and conj:s3
+    corpus = [q for n in range(1, 5) for q in iso_class_representatives(n) if is_faithful(q)]
+    s3 = symmetric_group(3)
+    corpus += [dihedral(3), dihedral(5), dihedral(9), conjugation_quandle(s3, s3.sorted_elements())]
+    pairs = [inn(q) for q in corpus]
+    seen = {"surjective": 0, "injective": 0}
+    for (q1, p1), (q2, p2) in itertools.product(zip(corpus, pairs), repeat=2):
+        for f in enumerate_homs(q1, q2, "surjective"):
+            m = induced_surjective(f, p1, p2)
+            assert (m.source.group.elements, m.mapping) == induced_by_words(f, "surjective")
+            seen["surjective"] += 1
+        for f in enumerate_homs(q1, q2, "injective"):
+            m = induced_injective(f, p1, p2)
+            domain, proj = induced_by_words(f, "injective")
+            assert m.domain_group.elements == domain and m.proj == proj
+            assert set(m.domain_omega) == {q2.table[v] for v in f.mapping}
+            seen["injective"] += 1
+    assert seen["surjective"] > 0 and seen["injective"] > 0

@@ -7,11 +7,11 @@ from quandlekit import (
     alexander_quandle,
     check_axioms,
     close_group,
+    compose,
     conjugation_quandle,
     dihedral,
     dihedral_group,
     dihedral_reflections,
-    evaluate_word,
     inn,
     inn_relative,
     is_faithful,
@@ -253,8 +253,8 @@ def test_inn_word_evaluation():
     # dihedral quandle
     q = dihedral(3)
     p = inn(q)
-    word = [(0, 1), (1, 1), (0, 1)]
-    assert evaluate_word(p.group, word) == q.table[2]
+    s0, s1 = p.group.generators[:2]
+    assert compose(compose(s0, s1), s0) == q.table[2]
 
 
 def test_inn_relative():
