@@ -224,7 +224,7 @@ def _star_to_dict(m: StarMorphism) -> dict:
 def cmd_star_homs(args: argparse.Namespace) -> int:
     src = genpair_from_text(Path(args.source).read_text(), cap=args.cap)
     tgt = genpair_from_text(Path(args.target).read_text(), cap=args.cap)
-    morphisms = enumerate_star_morphisms(src, tgt, cap=args.cap)
+    morphisms = enumerate_star_morphisms(src, tgt)
     if args.json:
         payload = {
             "schema": 1,

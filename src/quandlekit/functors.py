@@ -177,14 +177,14 @@ class EquivalenceReport:
     @contextmanager
     def checking(self, check: str, instance: str) -> Iterator[Callable[..., None]]:
         """Run the body of one check, which records its verdict through the
-        yielded add(passed, detail="").  A RuntimeError raised in the body is
-        recorded as a failure of this check, with its message; CapExceeded,
-        a RuntimeError too, propagates."""
+        yielded add(passed, detail="").  A RuntimeError or ValueError raised
+        in the body is recorded as a failure of this check, with its
+        message; CapExceeded, a RuntimeError too, propagates."""
         try:
             yield partial(self.add, check, instance)
         except CapExceeded:
             raise
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             self.add(check, instance, False, str(exc))
 
     @property
@@ -223,7 +223,6 @@ class _Flavor:
     maps to_pair and to_quandle are shared."""
 
     mode: str  # canonical hom mode on the quandle side
-    in_mode: Callable  # QuandleHom -> whether it has the mode's property
     enumerate: Callable  # (source pair, target pair) -> group-side hom set
     check: Callable  # group-side morphism -> violated clauses, [] when valid
     forward: Callable  # F on morphisms: (hom, source pair, target pair)
@@ -234,20 +233,21 @@ class _Flavor:
     is_iso: Callable  # eta's isomorphism test
 
 
-def _flavor(mode: str, cap: int) -> _Flavor:
-    """The flavor a mode word names, with cap bound.
+def _flavor(mode: str) -> _Flavor:
+    """The flavor a mode word names.
 
     Built on each call from the module globals, so that a function patched
     in this module (by a test or a tracer) is the one the record holds.
+    No function takes a cap: the group side only closes subgroups of pairs
+    that to_pair has already bounded.
     """
     mode = MODE_WORDS.get(mode)
     if mode == "surjective":
         return _Flavor(
             mode,
-            QuandleHom.is_surjective,
             enumerate_surj_morphisms,
             check_surj_morphism,
-            partial(induced_surjective, cap=cap),
+            induced_surjective,
             G_surj_mor,
             compose_surj,
             identity_surj,
@@ -257,12 +257,11 @@ def _flavor(mode: str, cap: int) -> _Flavor:
     if mode == "injective":
         return _Flavor(
             mode,
-            QuandleHom.is_injective,
-            partial(enumerate_star_morphisms, cap=cap),
+            enumerate_star_morphisms,
             check_star_morphism,
-            partial(induced_injective, cap=cap),
+            induced_injective,
             G_inj_mor,
-            partial(compose_star, cap=cap),
+            compose_star,
             identity_star,
             eta_star,
             is_star_isomorphism,
@@ -288,19 +287,24 @@ def verify_equivalence(
     Constructors only build; every fact is checked here, once.  Each
     forward image of an enumerated hom is checked with the flavor's check
     (in "enumeration"), theta with check_hom and eta with the flavor's
-    check (in "theta_iso" and "eta_iso"), and each backward image of an
-    enumerated morphism with check_hom (in "eta_naturality").  Composites
-    are not checked: the laws compare them with checked morphisms, and that
+    check (in "theta_iso" and "eta_iso").  Each backward image of an
+    enumerated morphism is checked in "eta_naturality" by the forward map
+    itself, whose input validation (check_hom and the mode test) raises
+    ValueError on a non-hom or a hom of the wrong mode.  Composites are not
+    checked: the laws compare them with checked morphisms, and that
     comparison is the law itself.
 
+    cap bounds each inner group to_pair lists; every group the run builds
+    after that is a subgroup of one of them and takes no cap of its own.
+
     Error policy: a law that does not hold is recorded, not raised, and so
-    is a RuntimeError raised while a check runs (a morphism that failed
-    verification): it becomes a failure of that check, with its message.
-    CapExceeded propagates, since a cap limits the run and refutes nothing;
-    so does ValueError for a bad mode, names list or unfaithful corpus
-    member.
+    is a RuntimeError or ValueError raised while a check runs (a morphism
+    that failed verification): it becomes a failure of that check, with
+    its message.  CapExceeded propagates, since a cap limits the run and
+    refutes nothing; so does the ValueError for a bad mode, names list or
+    unfaithful corpus member, raised before any check runs.
     """
-    fl = _flavor(mode, cap)
+    fl = _flavor(mode)
     names = list(names) if names is not None else ["Q%d" % i for i in range(len(corpus))]
     if len(names) != len(corpus):
         raise ValueError("names length differs from corpus length")
@@ -382,14 +386,12 @@ def verify_equivalence(
         if et_i is not None and et_j is not None:
             with report.checking("eta_naturality", inst) as add:
                 backs = [fl.backward(m, conjs[i], conjs[j]) for m in gh]
-                for g in backs:
-                    if check_hom(g) or not fl.in_mode(g):
-                        raise RuntimeError("backward image is not a %s quandle hom" % fl.mode)
+                # the forward map rejects a backward image that is not a hom
+                # of the mode, before G composition may read it
+                forwards = [fl.forward(g, round_trips[i], round_trips[j]) for g in backs]
                 g_mapped[i, j] = backs
                 ok = all(
-                    fl.compose(m, et_i)
-                    == fl.compose(et_j, fl.forward(gm, round_trips[i], round_trips[j]))
-                    for m, gm in zip(gh, g_mapped[i, j])
+                    fl.compose(m, et_i) == fl.compose(et_j, fm) for m, fm in zip(gh, forwards)
                 )
                 add(ok, "%d morphisms" % len(gh))
 

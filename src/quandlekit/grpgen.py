@@ -49,7 +49,9 @@ class GenPair:
     computed on first use.
 
     _subgroups, keyed by content only, maps a sorted subset of omega to the
-    subgroup it generates; subgroup() reads and fills it.
+    subgroup it generates; subgroup() reads and fills it.  Whoever builds
+    the pair (inn, genpair_from_text, close_group) bounds its group by a
+    cap; those subgroups lie inside it and take no cap of their own.
     """
 
     group: PermGroup
@@ -81,20 +83,16 @@ class GenPair:
     def omega_position(self) -> dict[Perm, int]:
         return {w: i for i, w in enumerate(self.omega)}
 
-    def subgroup(
-        self, gamma: tuple[Perm, ...], cap: int, build: Callable[[], PermGroup]
-    ) -> PermGroup:
+    def subgroup(self, gamma: tuple[Perm, ...], build: Callable[[], PermGroup]) -> PermGroup:
         """The subgroup generated by gamma, a sorted subset of omega.
 
         build() makes it on the first request for gamma and the result is
-        remembered; a remembered group larger than cap raises CapExceeded
-        as close_group would.
+        remembered.  It lies inside the pair's group, so a closure bounded
+        by len(self.group) never raises.
         """
         group = self._subgroups.get(gamma)
         if group is None:
             group = self._subgroups[gamma] = build()
-        elif len(group) > cap:
-            raise CapExceeded("group closure exceeded the cap of %d elements" % cap)
         return group
 
 
@@ -257,23 +255,14 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if not gamma <= m.domain_group.elements:
         report.append("gamma: subset is not contained in the domain group")
         return report
-    if close_group(sorted(gamma), cap=len(m.domain_group) + 1).elements != (
-        m.domain_group.elements
-    ):
+    # gamma lies in the target group, so its closure does too; a domain
+    # group that is not that closure may not be closed, and the clauses
+    # below multiply inside it
+    if close_group(sorted(gamma), cap=len(tgt.group)).elements != m.domain_group.elements:
         report.append("generation: subset does not generate the domain group")
-    # conjugation by each generator permutes a stable gamma, so the
-    # generators stand for the whole domain group
-    for h in m.domain_group.generators:
-        hinv = inverse(h)
-        for g in gamma:
-            if compose(compose(h, g), hinv) not in gamma:
-                report.append(
-                    "stability: subset is not conjugation-stable in the domain group"
-                )
-                break
-        else:
-            continue
-        break
+        return report
+    if not is_conjugation_stable(m.domain_group, gamma):
+        report.append("stability: subset is not conjugation-stable in the domain group")
     if set(m.proj) != m.domain_group.elements:
         report.append("homomorphism: proj domain differs from the domain group")
         return report
@@ -293,13 +282,12 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     return report
 
 
-def compose_star(
-    m2: StarMorphism, m1: StarMorphism, cap: int = DEFAULT_CAP
-) -> StarMorphism:
+def compose_star(m2: StarMorphism, m1: StarMorphism) -> StarMorphism:
     """Composite of m1 then m2 (written back to front, like functions).
 
     The composite subset is the part of m2's subset projecting into m1's;
-    its closure, from m2's target pair's subgroup(), carries the chained
+    its closure, shared through m2's target pair's subgroup() memo with
+    enumerate_star_morphisms and induced_injective, carries the chained
     projection.  The result is built, not checked: check_star_morphism
     checks it.  An empty composite subset or a projection that leaves m1's
     domain raises RuntimeError, since either means the inputs were not
@@ -311,7 +299,8 @@ def compose_star(
     new_gamma = tuple(sorted(g for g in m2.domain_omega if m2.proj[g] in gamma1))
     if not new_gamma:
         raise RuntimeError("composite subset is empty; inputs were not valid")
-    group = m2.target.subgroup(new_gamma, cap, lambda: close_group(list(new_gamma), cap=cap))
+    tgt = m2.target
+    group = tgt.subgroup(new_gamma, lambda: close_group(new_gamma, cap=len(tgt.group)))
     proj = {}
     for h in group.elements:
         mid = m2.proj[h]
@@ -449,10 +438,7 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
 
 
 def enumerate_star_morphisms(
-    src: GenPair,
-    tgt: GenPair,
-    cap: int = DEFAULT_CAP,
-    subset_cap: int = 1_000_000,
+    src: GenPair, tgt: GenPair, subset_cap: int = 1_000_000
 ) -> list[StarMorphism]:
     """All StarMorphisms src -> tgt, in canonical order, duplicate free.
 
@@ -464,7 +450,8 @@ def enumerate_star_morphisms(
     no conjugate is computed twice and none is computed unasked.  For each
     surviving subset, every bijection onto the source omega is extended to
     a homomorphism of the generated subgroup by propagation, rejecting on
-    any conflict.
+    any conflict.  The subgroup comes from tgt.subgroup(), the memo that
+    compose_star and induced_injective read too.
 
     subset_cap bounds the candidate subsets the pruned search tries (one
     per prune test); trying more raises CapExceeded.
@@ -514,7 +501,7 @@ def enumerate_star_morphisms(
                     if conjugate_pos(i, j) not in chosen:
                         return
             gamma = tuple(omega2[i] for i in chosen)
-            h_group = close_group(list(gamma), cap=cap)
+            h_group = tgt.subgroup(gamma, lambda: close_group(gamma, cap=len(tgt.group)))
             for proj in _extension_search(
                 list(gamma), list(src.omega), tgt.degree, src.degree, injective=True
             ):

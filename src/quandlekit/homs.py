@@ -11,15 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism
-from .perm import DEFAULT_CAP, require_recursion_depth
-from .quandle import (
-    GenPair,
-    Quandle,
-    SubquandleWitness,
-    inn,
-    inn_relative,
-    is_faithful,
-)
+from .perm import require_recursion_depth
+from .quandle import GenPair, Quandle, SubquandleWitness, inn_relative, is_faithful
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
 MODE_WORDS = {
@@ -156,56 +149,45 @@ def _require_faithful(f: QuandleHom) -> None:
         raise ValueError("induced maps need faithful source and target")
 
 
-def induced_surjective(
-    f: QuandleHom,
-    source_pair: GenPair | None = None,
-    target_pair: GenPair | None = None,
-    cap: int = DEFAULT_CAP,
-) -> SurjMorphism:
+def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
     """The group map between inner groups induced by a surjective homomorphism.
 
-    It is the phi with f g = phi(g) f, built pointwise from that equation:
-    phi(g)[f(y)] = f(g[y]), read at one preimage y of each target point.
-    f itself is validated (a ValueError for a non-hom, a non-surjective or
-    an unfaithful one); the result is built, not checked:
-    check_surj_morphism checks it.  Optional pairs must be the ones built
-    by inn().
+    p1 and p2 are inn() of f's source and target.  The map is the phi with
+    f g = phi(g) f, built pointwise from that equation: phi(g)[f(y)] =
+    f(g[y]), read at one preimage y of each target point.  f itself is
+    validated (a ValueError for a non-hom, a non-surjective or an
+    unfaithful one); the result is built, not checked:
+    check_surj_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
     if not f.is_surjective():
         raise ValueError("f is not surjective")
-    p1 = source_pair if source_pair is not None else inn(f.source, cap)
-    p2 = target_pair if target_pair is not None else inn(f.target, cap)
     m = f.mapping
     pre = [m.index(z) for z in range(f.target.n)]
     return SurjMorphism(p1, p2, {g: tuple(m[g[y]] for y in pre) for g in p1.group.elements})
 
 
-def induced_injective(
-    f: QuandleHom,
-    source_pair: GenPair | None = None,
-    target_pair: GenPair | None = None,
-    cap: int = DEFAULT_CAP,
-) -> StarMorphism:
+def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
     """The backwards-partial morphism induced by an injective homomorphism.
 
-    The domain subgroup is the closure of the symmetries at image points,
-    acting on the whole target and remembered in the target pair; the
-    projection is built pointwise from f proj(h) = h f on the image:
-    proj(h)[y] = f^-1(h[f(y)]).  f is validated as in induced_surjective;
-    the result is built, not checked: check_star_morphism checks it.
+    p1 and p2 are inn() of f's source and target.  The domain subgroup is
+    the closure of the symmetries at image points, acting on the whole
+    target; it comes from p2.subgroup(), the memo that compose_star and
+    enumerate_star_morphisms share, and lies inside p2's group, which
+    bounds its closure.  The projection is built pointwise from
+    f proj(h) = h f on the image: proj(h)[y] = f^-1(h[f(y)]).  f is
+    validated as in induced_surjective; the result is built, not checked:
+    check_star_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
     if not f.is_injective():
         raise ValueError("f is not injective")
-    p1 = source_pair if source_pair is not None else inn(f.source, cap)
-    p2 = target_pair if target_pair is not None else inn(f.target, cap)
     m = f.mapping
     gamma = tuple(sorted(f.target.table[v] for v in m))
     group = p2.subgroup(
-        gamma, cap, lambda: inn_relative(f.target, SubquandleWitness(f.target, m), cap).group
+        gamma, lambda: inn_relative(f.target, SubquandleWitness(f.target, m), len(p2.group)).group
     )
     back = {v: y for y, v in enumerate(m)}
     proj = {h: tuple(back[h[v]] for v in m) for h in group.elements}

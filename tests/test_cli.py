@@ -1,5 +1,7 @@
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,14 +181,52 @@ def test_star_homs_subset_cap(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert out.splitlines()[0] == "count: 162"
 
-    def capped(src, tgt, cap):
-        return enumerate_star_morphisms(src, tgt, cap=cap, subset_cap=5)
+    def capped(src, tgt):
+        return enumerate_star_morphisms(src, tgt, subset_cap=5)
 
     monkeypatch.setattr(cli, "enumerate_star_morphisms", capped)
     rc = main(["star-homs", str(paths[3]), str(paths[9])])
     captured = capsys.readouterr()
     assert rc == 2
     assert "subset_cap=5" in captured.err
+
+
+def test_cap_bounds_every_group_the_cli_lists(tmp_path, capsys):
+    # inn(R9) has order 18: a cap of 17 refuses it wherever it is listed,
+    # and 18 admits it along with every subgroup the star search closes
+    p3, p9 = tmp_path / "p3.pair", tmp_path / "p9.pair"
+    main(["make", "genpair", "dihedral", "3", "reflections", "--out", str(p3)])
+    main(["make", "genpair", "dihedral", "9", "reflections", "--out", str(p9)])
+    capsys.readouterr()
+    assert main(["star-homs", str(p3), str(p9), "--cap", "17"]) == 2
+    assert "cap of 17 elements" in capsys.readouterr().err
+    rc, out = run(capsys, "star-homs", str(p3), str(p9), "--cap", "18")
+    assert rc == 0 and out.splitlines()[0] == "count: 18"
+    assert main(["verify", "--corpus", "r3,r9", "--mode", "inj", "--cap", "17"]) == 2
+    assert "cap of 17 elements" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    """The lines of README's Command line block, comments included."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys, monkeypatch):
+    # each line is one command as a shell would split it: no operator
+    # token (an unquoted ";" would cut it in two), and it exits 0
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_command_lines():
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        operators = [t for t in tokens if not t.strip(lexer.punctuation_chars)]
+        assert not operators, (line, operators)
+        assert tokens[0] == "quandlekit", line
+        assert main(tokens[1:]) == 0, (line, capsys.readouterr().err)
+    capsys.readouterr()
 
 
 def test_verify_ok(capsys):

@@ -85,11 +85,12 @@ def test_eta_star_is_isomorphism():
 
 def test_forward_functor_on_morphisms():
     r3, r9 = dihedral(3), dihedral(9)
+    p3, p9 = to_pair(r3), to_pair(r9)
     f = enumerate_homs(r3, r9, "injective")[0]
-    m = F_inj_mor(f)
+    m = F_inj_mor(f, p3, p9)
     assert check_star_morphism(m) == []
     g = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
-    m2 = F_surj_mor(g)
+    m2 = F_surj_mor(g, p9, p3)
     assert check_surj_morphism(m2) == []
 
 
@@ -100,10 +101,11 @@ def test_forward_functor_respects_composition():
     f1 = QuandleHom(r3, r9, (0, 3, 6))
     f2 = QuandleHom(r9, r9, tuple(-x % 9 for x in range(9)))
     assert check_hom(f1) == [] and check_hom(f2) == []
-    m1, m2 = F_inj_mor(f1), F_inj_mor(f2)
+    p3, p9 = to_pair(r3), to_pair(r9)
+    m1, m2 = F_inj_mor(f1, p3, p9), F_inj_mor(f2, p9, p9)
     assert not is_star_isomorphism(m1)  # proper subgroup of order 6
     assert is_star_isomorphism(m2)
-    composite = F_inj_mor(compose_homs(f2, f1))
+    composite = F_inj_mor(compose_homs(f2, f1), p3, p9)
     assert check_star_morphism(composite) == []
     assert compose_star(m2, m1) == composite
 

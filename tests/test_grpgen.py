@@ -6,6 +6,7 @@ import pytest
 from quandlekit import (
     CapExceeded,
     GenPair,
+    PermGroup,
     StarMorphism,
     check_star_morphism,
     check_surj_morphism,
@@ -415,18 +416,16 @@ def test_star_check_failing_report_is_stable():
     assert check_star_morphism(m) == first
 
 
-def test_compose_star_memoised_subgroup_still_honours_cap():
-    p3, p9 = refl_pair(3), refl_pair(9)
+def test_star_check_reports_a_domain_group_that_gamma_does_not_generate():
+    # the domain group lists {e} and gamma only, which is not closed, so the
+    # closure of gamma outgrows it; the check reports that, it does not raise
+    p3, p9 = inn(dihedral(3)), inn(dihedral(9))
     m = enumerate_star_morphisms(p3, p9)[0]
-    ident3 = identity_star(p3)
-    assert compose_star(m, ident3) == m
-    assert m.domain_omega in p9._subgroups
-    with pytest.raises(CapExceeded) as memo_exc:
-        compose_star(m, ident3, cap=5)
-    with pytest.raises(CapExceeded) as closure_exc:
-        close_group(list(m.domain_omega), cap=5)
-    assert str(memo_exc.value) == str(closure_exc.value)
-    assert compose_star(m, ident3, cap=6) == m
+    elements = frozenset(m.domain_omega) | {p9.group.identity}
+    domain = PermGroup(p9.degree, m.domain_omega, elements)
+    bad = StarMorphism(p3, p9, domain, m.domain_omega, {h: m.proj[h] for h in elements})
+    report = check_star_morphism(bad)
+    assert any(line.startswith("generation:") for line in report), report
 
 
 def test_extension_searches_refuse_to_overflow_the_stack(monkeypatch):

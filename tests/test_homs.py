@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
-    CapExceeded,
     Quandle,
     QuandleHom,
     check_hom,
@@ -17,6 +16,7 @@ from quandlekit import (
     dihedral,
     enumerate_group_homs,
     enumerate_homs,
+    enumerate_star_morphisms,
     homs_to_dict,
     identity_hom,
     identity_star,
@@ -140,7 +140,7 @@ def test_induced_surjective_r9_to_r3():
     # reduction mod 3 is a surjective quandle map
     f = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
     assert check_hom(f) == []
-    m = induced_surjective(f)
+    m = induced_surjective(f, inn(r9), inn(r3))
     assert check_surj_morphism(m) == []
     assert len(m.source.group) == 18 and len(m.target.group) == 6
     assert not m.is_injective()
@@ -148,7 +148,8 @@ def test_induced_surjective_r9_to_r3():
 
 def test_induced_surjective_identity_and_automorphism():
     r3 = dihedral(3)
-    m = induced_surjective(identity_hom(r3))
+    p3 = inn(r3)
+    m = induced_surjective(identity_hom(r3), p3, p3)
     assert len(m.source.group) == 6
     assert all(m.mapping[g] == g for g in m.source.group.elements)
     # negation is a quandle automorphism of R9 and lifts to the symmetry
@@ -156,7 +157,8 @@ def test_induced_surjective_identity_and_automorphism():
     r9 = dihedral(9)
     f = QuandleHom(r9, r9, tuple(-x % 9 for x in range(9)))
     assert check_hom(f) == []
-    m = induced_surjective(f)
+    p9 = inn(r9)
+    m = induced_surjective(f, p9, p9)
     assert check_surj_morphism(m) == [] and m.is_injective()
     for x in range(9):
         assert m.mapping[r9.table[x]] == r9.table[-x % 9]
@@ -166,13 +168,14 @@ def test_induced_surjective_rejects_non_surjective():
     r3, r9 = dihedral(3), dihedral(9)
     f = enumerate_homs(r3, r9, "injective")[0]
     with pytest.raises(ValueError):
-        induced_surjective(f)
+        induced_surjective(f, inn(r3), inn(r9))
 
 
 def test_induced_injective_r3_to_r9():
     r3, r9 = dihedral(3), dihedral(9)
+    p3, p9 = inn(r3), inn(r9)
     for f in enumerate_homs(r3, r9, "injective"):
-        m = induced_injective(f)
+        m = induced_injective(f, p3, p9)
         assert check_star_morphism(m) == []
         assert len(m.domain_group) == 6
         assert len(m.domain_omega) == 3
@@ -191,25 +194,27 @@ def test_induced_injective_closes_each_image_subgroup_once(monkeypatch):
     # the closures live in the target pair, where compose_star finds them
     assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in ms)
     assert compose_star(ms[0], identity_star(p3)) == ms[0] and len(calls) == 3
-    # a remembered closure still honours a smaller cap
-    with pytest.raises(CapExceeded, match="cap of 5 elements"):
-        induced_injective(fs[0], p3, p9, cap=5)
+    # the star enumerator shares the memo: its domain groups are the entries
+    stars = enumerate_star_morphisms(p3, p9)
+    assert len(stars) == 18 and len(p9._subgroups) == 3 and len(calls) == 3
+    assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in stars)
 
 
 def test_induced_injective_rejects_non_injective():
     r9, r3 = dihedral(9), dihedral(3)
     f = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
     with pytest.raises(ValueError):
-        induced_injective(f)
+        induced_injective(f, inn(r9), inn(r3))
 
 
 def test_induced_maps_reject_unfaithful_ends():
     t2 = trivial_quandle(2)
     ident = identity_hom(t2)
+    p2 = inn(t2)
     with pytest.raises(ValueError):
-        induced_surjective(ident)
+        induced_surjective(ident, p2, p2)
     with pytest.raises(ValueError):
-        induced_injective(ident)
+        induced_injective(ident, p2, p2)
 
 
 def test_inner_order_divides_along_injections():
