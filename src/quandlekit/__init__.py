@@ -61,6 +61,7 @@ from .grpgen import (
     enumerate_group_homs,
     enumerate_star_morphisms,
     enumerate_surj_morphisms,
+    extend_hom,
     genpair_from_text,
     genpair_to_text,
     identity_star,

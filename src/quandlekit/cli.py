@@ -23,6 +23,7 @@ from pathlib import Path
 from .grpgen import (
     StarMorphism,
     enumerate_star_morphisms,
+    extend_hom,
     genpair_from_text,
     genpair_to_text,
     make_genpair,
@@ -211,12 +212,12 @@ def cmd_homs(args: argparse.Namespace) -> int:
 
 
 def _star_to_dict(m: StarMorphism) -> dict:
-    tpos = {p: i for i, p in enumerate(m.target.group.sorted_elements())}
-    spos = {p: i for i, p in enumerate(m.source.group.sorted_elements())}
+    tpos, spos = m.target.group.element_index, m.source.group.element_index
+    pi = extend_hom(m.proj.items(), m.target.degree, m.source.degree)
     return {
-        "subgroup": sorted(tpos[h] for h in m.domain_group.elements),
-        "gamma": sorted(tpos[g] for g in m.domain_omega),
-        "pi": sorted([tpos[h], spos[m.proj[h]]] for h in m.domain_group.elements),
+        "subgroup": sorted(tpos(h) for h in m.domain_group.elements),
+        "gamma": sorted(tpos(g) for g in m.domain_omega),
+        "pi": sorted([tpos(h), spos(v)] for h, v in pi.items()),
         "pi_injective": m.proj_is_injective(),
     }
 

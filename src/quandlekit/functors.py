@@ -122,11 +122,12 @@ def theta(q: Quandle, pair: GenPair) -> QuandleHom:
 
 
 def conjugation_action(p: GenPair) -> dict[Perm, Perm]:
-    """For each group element g, the permutation of omega points induced by
-    conjugation with g: a group isomorphism onto the inner group of the
-    conjugation quandle on omega (not checked here)."""
+    """For each omega member w, the permutation of omega points induced by
+    conjugation with w: the symmetry at w of the conjugation quandle on
+    omega.  On a faithful pair these values fix a group isomorphism onto
+    that quandle's inner group (not checked here)."""
     pos = p.omega_position
-    return {g: tuple(pos[conjugate(g, w)] for w in p.omega) for g in p.group.elements}
+    return {w: tuple(pos[conjugate(w, v)] for v in p.omega) for w in p.omega}
 
 
 def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
@@ -137,8 +138,7 @@ def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
     itself.  The result is built, not checked: check_surj_morphism and
     SurjMorphism.is_injective check it.
     """
-    action = conjugation_action(p)
-    return SurjMorphism(round_trip, p, {perm: g for g, perm in action.items()})
+    return SurjMorphism(round_trip, p, {s: w for w, s in conjugation_action(p).items()})
 
 
 def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
@@ -146,8 +146,8 @@ def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
 
     round_trip is to_pair(to_quandle(p)).  The domain is the whole original
     pair and the projection is the conjugation action onto round_trip's
-    group.  The result is built, not checked: check_star_morphism and
-    is_star_isomorphism check it.
+    group, sending w to the symmetry at w.  The result is built, not
+    checked: check_star_morphism and is_star_isomorphism check it.
     """
     return StarMorphism(round_trip, p, p.group, p.omega, conjugation_action(p))
 
@@ -269,12 +269,15 @@ def _flavor(mode: str) -> _Flavor:
     raise ValueError("mode must be injective or surjective")
 
 
+# Composable triples on which verify_equivalence samples associativity.
+LAW_SAMPLES = 40
+
+
 def verify_equivalence(
     corpus: list[Quandle],
     mode: str,
     names: list[str] | None = None,
     cap: int = DEFAULT_CAP,
-    law_samples: int = 40,
 ) -> EquivalenceReport:
     """Machine-check one equivalence flavor on a corpus of faithful quandles.
 
@@ -431,9 +434,9 @@ def verify_equivalence(
             triples.extend(
                 itertools.islice(itertools.product(g_homs[i, j], g_homs[j, l], g_homs[l, h]), 2)
             )
-        if len(triples) >= law_samples:
+        if len(triples) >= LAW_SAMPLES:
             break
-    triples = triples[:law_samples]
+    triples = triples[:LAW_SAMPLES]
     if triples:
         with report.checking("composition_associative", "sampled triples") as add:
             ok = all(

@@ -9,16 +9,18 @@ it.  Two kinds of structure-preserving maps between pairs show up:
   plus a projection homomorphism from that subgroup onto the source whose
   restriction to the subset is a bijection onto the source omega.
 
+Both are stored as their values on the generators (omega, or the
+subset), which fix them; extend_hom extends such values to the group.
 Star morphisms compose back to front: the new subset is the part of the
 outer morphism's subset that projects into the inner one's, and the new
-projection is the chain of the two.
+projection is the chain of the two on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .perm import (
     DEFAULT_CAP,
@@ -48,10 +50,11 @@ class GenPair:
     of omega; omega_position maps each omega member to its index.  All are
     computed on first use.
 
-    _subgroups, keyed by content only, maps a sorted subset of omega to the
-    subgroup it generates; subgroup() reads and fills it.  Whoever builds
-    the pair (inn, genpair_from_text, close_group) bounds its group by a
-    cap; those subgroups lie inside it and take no cap of their own.
+    _subgroups, keyed by content only, maps a sorted tuple of group
+    elements to the subgroup it generates; subgroup() reads and fills it.
+    Whoever builds the pair (inn, genpair_from_text, close_group) bounds
+    its group by a cap; those subgroups lie inside it and take no cap of
+    their own.
     """
 
     group: PermGroup
@@ -84,7 +87,7 @@ class GenPair:
         return {w: i for i, w in enumerate(self.omega)}
 
     def subgroup(self, gamma: tuple[Perm, ...], build: Callable[[], PermGroup]) -> PermGroup:
-        """The subgroup generated by gamma, a sorted subset of omega.
+        """The subgroup generated by gamma, a sorted tuple of group elements.
 
         build() makes it on the first request for gamma and the result is
         remembered.  It lies inside the pair's group, so a closure bounded
@@ -117,7 +120,8 @@ def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
 
 @dataclass(eq=False)
 class SurjMorphism:
-    """A group homomorphism between pairs whose restriction maps omega onto omega."""
+    """A group homomorphism between pairs whose restriction maps omega onto
+    omega, stored as mapping: its values on the source omega, which fix it."""
 
     source: GenPair
     target: GenPair
@@ -133,59 +137,48 @@ class SurjMorphism:
         )
 
     def key(self) -> frozenset:
-        """Hashable canonical form of the mapping graph."""
+        """Hashable canonical form of the values on omega."""
         return frozenset(self.mapping.items())
 
     def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
+        """For a valid morphism: it maps onto the group the target omega
+        generates, so it is injective exactly when the orders agree."""
+        return len(self.source.group) == len(self.target.group)
 
 
 def identity_surj(pair: GenPair) -> SurjMorphism:
-    return SurjMorphism(pair, pair, {g: g for g in pair.group.elements})
+    return SurjMorphism(pair, pair, {w: w for w in pair.omega})
 
 
 def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
+    """Composite of m1 then m2.  A value of m1 that is not one of m2's
+    generators raises RuntimeError: the inputs were not valid morphisms."""
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
-    return SurjMorphism(
-        m1.source, m2.target, {g: m2.mapping[h] for g, h in m1.mapping.items()}
-    )
-
-
-def _hom_failure(group: PermGroup, f: dict[Perm, Perm]) -> tuple[Perm, Perm] | None:
-    """The first (g, s), g in the group and s one of its generators, with
-    f(g s) != f(g) f(s); None when f is a homomorphism.
-
-    The generators suffice: g = e gives f(e) = e, and then f(g w) =
-    f(g) f(w) follows for every word w by induction on its length.
-    """
-    for g in group.elements:
-        fg = f[g]
-        for s in group.generators:
-            if f[compose(g, s)] != compose(fg, f[s]):
-                return g, s
-    return None
+    try:
+        mapping = {w: m2.mapping[v] for w, v in m1.mapping.items()}
+    except KeyError:
+        raise RuntimeError("a value of the inner morphism leaves the outer one's omega") from None
+    return SurjMorphism(m1.source, m2.target, mapping)
 
 
 def check_surj_morphism(m: SurjMorphism) -> list[str]:
-    """Report of violated clauses; empty means the morphism is valid."""
+    """Report of violated clauses; empty means the morphism is valid: its
+    values on omega extend to a homomorphism and cover the target omega."""
     report: list[str] = []
-    src = m.source.group
-    tgt = m.target.group
-    if set(m.mapping) != src.elements:
-        report.append("totality: mapping domain differs from the source group")
+    if set(m.mapping) != set(m.source.omega):
+        report.append("totality: mapping domain differs from the source omega")
         return report
-    if not set(m.mapping.values()) <= tgt.elements:
+    if not set(m.mapping.values()) <= m.target.group.elements:
         report.append("containment: some image lies outside the target group")
         return report
-    bad = _hom_failure(src, m.mapping)
-    if bad is not None:
-        report.append("homomorphism: f(g s) != f(g) f(s) for g=%s s=%s" % bad)
+    if extend_hom(m.mapping.items(), m.source.degree, m.target.degree) is None:
+        report.append("homomorphism: the values on omega do not extend to a homomorphism")
         return report
-    omega_images = [m.mapping[w] for w in m.source.omega]
-    if not set(omega_images) <= set(m.target.omega):
+    omega_images = set(m.mapping.values())
+    if not omega_images <= set(m.target.omega):
         report.append("omega containment: image of omega leaves the target omega")
-    elif set(omega_images) != set(m.target.omega):
+    elif omega_images != set(m.target.omega):
         report.append("omega surjectivity: restriction does not cover target omega")
     return report
 
@@ -195,9 +188,9 @@ class StarMorphism:
     """A backwards-partial morphism between pairs.
 
     domain_group is a subgroup of the target group, generated by
-    domain_omega, a conjugation-stable subset of the target omega.  proj is
-    a homomorphism domain_group -> source group restricting to a bijection
-    domain_omega -> source omega.
+    domain_omega (gamma), a conjugation-stable subset of the target omega.
+    proj is a homomorphism domain_group -> source group, stored as its
+    values on gamma: a bijection gamma -> source omega.
     """
 
     source: GenPair
@@ -218,7 +211,7 @@ class StarMorphism:
         )
 
     def key(self) -> tuple:
-        """Hashable canonical form: (domain elements, subset, proj graph)."""
+        """Hashable canonical form: (domain elements, subset, proj on it)."""
         return (
             self.domain_group.elements,
             frozenset(self.domain_omega),
@@ -226,18 +219,20 @@ class StarMorphism:
         )
 
     def proj_is_injective(self) -> bool:
-        return len(set(self.proj.values())) == len(self.proj)
+        """For a valid morphism: proj maps onto the group the source omega
+        generates, so it is injective exactly when the orders agree."""
+        return len(self.domain_group) == len(self.source.group)
 
 
 def identity_star(pair: GenPair) -> StarMorphism:
-    return StarMorphism(
-        pair, pair, pair.group, pair.omega, {g: g for g in pair.group.elements}
-    )
+    return StarMorphism(pair, pair, pair.group, pair.omega, {w: w for w in pair.omega})
 
 
 def check_star_morphism(m: StarMorphism) -> list[str]:
     """Report of violated clauses, tagged by which requirement failed; empty
-    means the morphism is valid."""
+    means the morphism is valid: gamma generates the domain group inside
+    the target, and proj on it is a bijection onto the source omega that
+    extends to a homomorphism."""
     report: list[str] = []
     tgt = m.target
     src = m.source
@@ -258,26 +253,25 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     # gamma lies in the target group, so its closure does too; a domain
     # group that is not that closure may not be closed, and the clauses
     # below multiply inside it
-    if close_group(sorted(gamma), cap=len(tgt.group)).elements != m.domain_group.elements:
+    key = tuple(sorted(gamma))
+    if tgt.subgroup(key, lambda: close_group(key, cap=len(tgt.group))) != m.domain_group:
         report.append("generation: subset does not generate the domain group")
         return report
     if not is_conjugation_stable(m.domain_group, gamma):
         report.append("stability: subset is not conjugation-stable in the domain group")
-    if set(m.proj) != m.domain_group.elements:
-        report.append("homomorphism: proj domain differs from the domain group")
+    if set(m.proj) != gamma:
+        report.append("homomorphism: proj domain differs from the subset")
         return report
     if not set(m.proj.values()) <= src.group.elements:
         report.append("homomorphism: proj image leaves the source group")
         return report
-    if _hom_failure(m.domain_group, m.proj) is not None:
-        report.append("homomorphism: proj(g s) != proj(g) proj(s)")
+    if extend_hom(m.proj.items(), tgt.degree, src.degree) is None:
+        report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
-    gamma_images = [m.proj[g] for g in m.domain_omega]
-    if not set(gamma_images) <= set(src.omega):
+    gamma_images = set(m.proj.values())
+    if not gamma_images <= set(src.omega):
         report.append("bijectivity: proj carries the subset outside the source omega")
-    elif len(set(gamma_images)) != len(m.domain_omega) or set(gamma_images) != set(
-        src.omega
-    ):
+    elif len(gamma_images) != len(gamma) or gamma_images != set(src.omega):
         report.append("bijectivity: proj is not a bijection subset -> source omega")
     return report
 
@@ -285,56 +279,47 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
 def compose_star(m2: StarMorphism, m1: StarMorphism) -> StarMorphism:
     """Composite of m1 then m2 (written back to front, like functions).
 
-    The composite subset is the part of m2's subset projecting into m1's;
-    its closure, shared through m2's target pair's subgroup() memo with
-    enumerate_star_morphisms and induced_injective, carries the chained
-    projection.  The result is built, not checked: check_star_morphism
-    checks it.  An empty composite subset or a projection that leaves m1's
-    domain raises RuntimeError, since either means the inputs were not
-    valid morphisms.
+    The composite subset is the part of m2's subset projecting into m1's,
+    and the composite projection chains the two on it.  Its closure is
+    shared through m2's target pair's subgroup() memo with
+    enumerate_star_morphisms and induced_injective.  The result is built,
+    not checked: check_star_morphism checks it.  An empty composite subset
+    or a projection missing one of its subset's values raises
+    RuntimeError, since either means the inputs were not valid morphisms.
     """
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
     gamma1 = set(m1.domain_omega)
-    new_gamma = tuple(sorted(g for g in m2.domain_omega if m2.proj[g] in gamma1))
+    try:
+        new_gamma = tuple(sorted(g for g in m2.domain_omega if m2.proj[g] in gamma1))
+        proj = {g: m1.proj[m2.proj[g]] for g in new_gamma}
+    except KeyError:
+        raise RuntimeError("a projection has no value at a member of its subset") from None
     if not new_gamma:
         raise RuntimeError("composite subset is empty; inputs were not valid")
     tgt = m2.target
     group = tgt.subgroup(new_gamma, lambda: close_group(new_gamma, cap=len(tgt.group)))
-    proj = {}
-    for h in group.elements:
-        mid = m2.proj[h]
-        if mid not in m1.proj:
-            raise RuntimeError(
-                "composite projection left the intermediate domain group"
-            )
-        proj[h] = m1.proj[mid]
     return StarMorphism(m1.source, m2.target, group, new_gamma, proj)
 
 
 def is_star_isomorphism(m: StarMorphism) -> bool:
-    """True when the domain is the whole target pair and proj is invertible.
-
-    That means: domain group = target group, subset = target omega, proj a
-    group isomorphism carrying target omega onto source omega.
-    """
-    if m.domain_group.elements != m.target.group.elements:
-        return False
-    if set(m.domain_omega) != set(m.target.omega):
-        return False
-    if len(set(m.proj.values())) != len(m.source.group):
-        return False
-    return {m.proj[g] for g in m.domain_omega} == set(m.source.omega)
+    """True when a valid m is invertible: its subset is the whole target
+    omega, so its domain is the whole target group, and proj is injective."""
+    return set(m.domain_omega) == set(m.target.omega) and m.proj_is_injective()
 
 
-def _propagate(
-    pairs: list[tuple[Perm, Perm]], domain_degree: int, image_degree: int
+def extend_hom(
+    pairs: Collection[tuple[Perm, Perm]], domain_degree: int, image_degree: int
 ) -> dict[Perm, Perm] | None:
-    """Close the assigned generators into a homomorphism, or None on conflict.
+    """The homomorphism of the group the first entries generate that sends
+    each to its second entry, as a dict over that group; None when there is
+    none.
 
     Every product (element, generator) is checked once, which pins the map
     down on the whole generated subgroup: any clash between two derivations
-    of the same element surfaces here.
+    of the same element surfaces here.  Without a clash the map sends e to
+    e and each x g to f(x) f(g), and every element is a positive word in
+    the generators, so it is a homomorphism.
     """
     hom = {identity(domain_degree): identity(image_degree)}
     frontier = [identity(domain_degree)]
@@ -396,12 +381,12 @@ def _extension_search(
             if injective and u in used:
                 continue
             pairs2 = pairs + [(g, u)]
-            hom2 = _propagate(pairs2, domain_degree, image_degree)
+            hom2 = extend_hom(pairs2, domain_degree, image_degree)
             if hom2 is None:
                 continue
             yield from rec(i + 1, pairs2, hom2, used | {u})
 
-    start = _propagate([], domain_degree, image_degree)
+    start = extend_hom([], domain_degree, image_degree)
     assert start is not None
     yield from rec(0, [], start, frozenset())
 
@@ -430,10 +415,11 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
     for hom in _extension_search(
         list(src.omega), list(tgt.omega), src.degree, tgt.degree, injective=False
     ):
-        if {hom[w] for w in src.omega} != target_omega:
+        mapping = {w: hom[w] for w in src.omega}
+        if set(mapping.values()) != target_omega:
             continue
         assert set(hom) == src.group.elements
-        out.append(SurjMorphism(src, tgt, hom))
+        out.append(SurjMorphism(src, tgt, mapping))
     return out
 
 
@@ -502,10 +488,11 @@ def enumerate_star_morphisms(
                         return
             gamma = tuple(omega2[i] for i in chosen)
             h_group = tgt.subgroup(gamma, lambda: close_group(gamma, cap=len(tgt.group)))
-            for proj in _extension_search(
+            for hom in _extension_search(
                 list(gamma), list(src.omega), tgt.degree, src.degree, injective=True
             ):
-                assert set(proj) == h_group.elements
+                assert set(hom) == h_group.elements
+                proj = {g: hom[g] for g in gamma}
                 results.append(StarMorphism(src, tgt, h_group, gamma, proj))
             return
         for idx in range(start, m - (k - len(chosen)) + 1):
@@ -528,10 +515,8 @@ def genpair_to_text(pair: GenPair) -> str:
     Indices refer to the group's sorted element order, so the line is stable
     no matter how the group block itself is written.
     """
-    order = pair.group.sorted_elements()
-    pos = {p: i for i, p in enumerate(order)}
     lines = group_to_lines(pair.group)
-    lines.append("omega " + " ".join(str(pos[w]) for w in pair.omega))
+    lines.append("omega " + " ".join(str(pair.group.element_index(w)) for w in pair.omega))
     return "\n".join(lines) + "\n"
 
 

@@ -152,20 +152,18 @@ def _require_faithful(f: QuandleHom) -> None:
 def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
     """The group map between inner groups induced by a surjective homomorphism.
 
-    p1 and p2 are inn() of f's source and target.  The map is the phi with
-    f g = phi(g) f, built pointwise from that equation: phi(g)[f(y)] =
-    f(g[y]), read at one preimage y of each target point.  f itself is
-    validated (a ValueError for a non-hom, a non-surjective or an
-    unfaithful one); the result is built, not checked:
-    check_surj_morphism checks it.
+    p1 and p2 are inn() of f's source and target.  The map sends the
+    symmetry s_x to s_{f(x)}, the defining equation f s_x = s_{f(x)} f read
+    on the generators.  f itself is validated (a ValueError for a non-hom,
+    a non-surjective or an unfaithful one); the result is built, not
+    checked: check_surj_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
     if not f.is_surjective():
         raise ValueError("f is not surjective")
-    m = f.mapping
-    pre = [m.index(z) for z in range(f.target.n)]
-    return SurjMorphism(p1, p2, {g: tuple(m[g[y]] for y in pre) for g in p1.group.elements})
+    t1, t2 = f.source.table, f.target.table
+    return SurjMorphism(p1, p2, {t1[y]: t2[v] for y, v in enumerate(f.mapping)})
 
 
 def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
@@ -175,23 +173,21 @@ def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
     the closure of the symmetries at image points, acting on the whole
     target; it comes from p2.subgroup(), the memo that compose_star and
     enumerate_star_morphisms share, and lies inside p2's group, which
-    bounds its closure.  The projection is built pointwise from
-    f proj(h) = h f on the image: proj(h)[y] = f^-1(h[f(y)]).  f is
-    validated as in induced_surjective; the result is built, not checked:
-    check_star_morphism checks it.
+    bounds its closure.  The projection sends s_{f(y)} back to s_y, from
+    f s_y = s_{f(y)} f.  f is validated as in induced_surjective; the
+    result is built, not checked: check_star_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
     if not f.is_injective():
         raise ValueError("f is not injective")
     m = f.mapping
-    gamma = tuple(sorted(f.target.table[v] for v in m))
+    t1, t2 = f.source.table, f.target.table
+    gamma = tuple(sorted(t2[v] for v in m))
     group = p2.subgroup(
         gamma, lambda: inn_relative(f.target, SubquandleWitness(f.target, m), len(p2.group)).group
     )
-    back = {v: y for y, v in enumerate(m)}
-    proj = {h: tuple(back[h[v]] for v in m) for h in group.elements}
-    return StarMorphism(p1, p2, group, gamma, proj)
+    return StarMorphism(p1, p2, group, gamma, {t2[v]: t1[y] for y, v in enumerate(m)})
 
 
 def homs_to_dict(q1: Quandle, q2: Quandle, mode: str, homs: Sequence[QuandleHom]) -> dict:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -99,8 +100,6 @@ class PermGroup:
     degree: int
     generators: tuple[Perm, ...]
     elements: frozenset[Perm]
-    _sorted: list[Perm] | None = field(default=None, repr=False)
-    _index: dict[Perm, int] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,15 +118,19 @@ class PermGroup:
     def identity(self) -> Perm:
         return identity(self.degree)
 
+    @cached_property
+    def _sorted(self) -> list[Perm]:
+        return sorted(self.elements)
+
+    @cached_property
+    def _index(self) -> dict[Perm, int]:
+        return {g: i for i, g in enumerate(self._sorted)}
+
     def sorted_elements(self) -> list[Perm]:
         """Elements in the canonical order: lexicographic by image tuple."""
-        if self._sorted is None:
-            self._sorted = sorted(self.elements)
         return self._sorted
 
     def element_index(self, p: Perm) -> int:
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.sorted_elements())}
         return self._index[p]
 
 

@@ -6,7 +6,7 @@ checked against these, so none of the library's own shortcuts may appear.
 
 import itertools
 
-from quandlekit import PermGroup, Quandle, StarMorphism, check_axioms, check_star_morphism
+from quandlekit import Quandle, check_axioms
 
 
 def brute_force_homs(q1, q2, mode="all"):
@@ -85,20 +85,42 @@ def induced_by_words(f, mode):
     return frozenset(words), evaluate_words(words, images)
 
 
+def extends_to_hom(gens, images):
+    """The map of <gens> that evaluates each element's closure word on the
+    images, when it is a homomorphism sending gens[i] to images[i]; None
+    otherwise.  Every product of two elements is checked."""
+    words = closure_words(gens)
+    f = evaluate_words(words, images)
+    if any(f[g] != u for g, u in zip(gens, images)):
+        return None
+    for a, b in itertools.product(f, repeat=2):
+        ab = tuple(a[j] for j in b)
+        if f[ab] != tuple(f[a][j] for j in f[b]):
+            return None
+    return f
+
+
 def brute_force_star_morphisms(src, tgt):
-    """Keys of every star morphism src -> tgt, found by trying each subset of
-    the target omega of the source omega's size with each bijection onto the
-    source omega, reading the projection off closure words and keeping what
-    check_star_morphism accepts."""
-    keys = set()
+    """Every star morphism src -> tgt, each as (domain elements, subset,
+    projection on the whole domain), found by trying each subset of the
+    target omega of the source omega's size with each bijection onto the
+    source omega.  A subset counts when each domain element conjugates it
+    into itself, and a bijection when it extends to a homomorphism."""
+    out = set()
     for gamma in itertools.combinations(tgt.omega, len(src.omega)):
-        words = closure_words(gamma)
-        domain = PermGroup(tgt.degree, gamma, frozenset(words))
+        domain = naive_closure(gamma)
+        stable = all(
+            tuple(h[g[j]] for j in sorted(range(len(h)), key=h.__getitem__)) in gamma
+            for h in domain
+            for g in gamma
+        )
+        if not stable:
+            continue
         for images in itertools.permutations(src.omega):
-            m = StarMorphism(src, tgt, domain, gamma, evaluate_words(words, images))
-            if not check_star_morphism(m):
-                keys.add(m.key())
-    return keys
+            f = extends_to_hom(gamma, images)
+            if f is not None:
+                out.add((frozenset(domain), frozenset(gamma), frozenset(f.items())))
+    return out
 
 
 def conjugacy_classes(group):

@@ -229,7 +229,7 @@ def test_criterion_7_counterexample_regressions():
     gamma = tuple(sorted(compose(tuple(p) + (3, 4, 5), cycle) for p in t3))
     src = make_genpair(symmetric_group(3), t3)
     h = close_group(list(gamma))
-    proj = {g: g[:3] for g in h.elements}
+    proj = {g: g[:3] for g in gamma}
     c = True
     for omega in (s6.sorted_elements(),
                   [p for p in s6.sorted_elements() if p != s6.identity]):

@@ -479,3 +479,37 @@ def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, ma
     _patch(monkeypatch, mode, role, make)
     report = verify_equivalence([dihedral(5)], mode, names=["r5"])
     assert {r.check for r in report.failures} == failing, report.summary()
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypatch, mode):
+    # only the forward images between round trips are corrupted: eta
+    # naturality composes them with eta unchecked.  One generator value
+    # becomes the identity, which is no generator; the surjective composite
+    # raises RuntimeError on it and the star composite carries it, and
+    # either way the law is recorded as failing, not raised
+    pairs = []  # every pair to_pair builds: R5's, then its round trip's
+    real_to_pair = functors.to_pair
+
+    def recording_to_pair(q, cap):
+        pairs.append(real_to_pair(q, cap))
+        return pairs[-1]
+
+    def off_generators(orig):
+        def fake(f, source_pair, target_pair):
+            m = orig(f, source_pair, target_pair)
+            if source_pair is not pairs[1]:
+                return m
+            attr, group = ("proj", m.source.group) if mode == "injective" else ("mapping", m.target.group)
+            graph = dict(getattr(m, attr))
+            graph[max(graph)] = group.identity
+            return dataclasses.replace(m, **{attr: graph})
+
+        return fake
+
+    monkeypatch.setattr(functors, "to_pair", recording_to_pair)
+    _patch(monkeypatch, mode, "forward", off_generators)
+    report = verify_equivalence([dihedral(5)], mode, names=["r5"])
+    assert [r.check for r in report.failures] == ["eta_naturality"], report.summary()
+    if mode == "surjective":
+        assert "leaves the outer" in report.failures[0].detail

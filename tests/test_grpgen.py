@@ -5,7 +5,6 @@ import pytest
 
 from quandlekit import (
     CapExceeded,
-    GenPair,
     PermGroup,
     StarMorphism,
     check_star_morphism,
@@ -21,6 +20,7 @@ from quandlekit import (
     enumerate_group_homs,
     enumerate_star_morphisms,
     enumerate_surj_morphisms,
+    extend_hom,
     genpair_from_text,
     genpair_to_text,
     identity_star,
@@ -34,11 +34,22 @@ from quandlekit import (
 from quandlekit import SurjMorphism, conjugation_quandle, is_faithful
 from quandlekit.perm import RECURSION_MARGIN, all_transpositions
 
-from helpers import brute_force_star_morphisms, iso_class_representatives
+from helpers import brute_force_star_morphisms, extends_to_hom, iso_class_representatives
 
 
 def refl_pair(n):
     return make_genpair(dihedral_group(n), dihedral_reflections(n))
+
+
+def proj_on_domain(m):
+    """The projection of a star morphism on its whole domain group."""
+    return extend_hom(m.proj.items(), m.target.degree, m.source.degree)
+
+
+def star_graph(m):
+    """A star morphism as (domain elements, subset, projection on the
+    domain), the form brute_force_star_morphisms lists."""
+    return m.domain_group.elements, frozenset(m.domain_omega), frozenset(proj_on_domain(m).items())
 
 
 def test_make_genpair_validation():
@@ -93,29 +104,27 @@ def test_surj_morphism_rejects_broken_maps():
     from quandlekit import SurjMorphism
 
     p9, p3 = refl_pair(9), refl_pair(3)
-    mapping = {g: p3.group.identity for g in p9.group.elements}
+    mapping = {w: p3.group.identity for w in p9.omega}
     clauses = check_surj_morphism(SurjMorphism(p9, p3, mapping))
     assert any("omega" in c for c in clauses)
 
 
-def cyclic_pair(n):
-    g = cyclic_group(n)
-    return make_genpair(g, g.generators)
-
-
-def test_morphism_checks_find_a_wrong_value_off_the_generators():
-    # right on the generator, wrong at one element that is not one: a cube
-    # of the rotation, or the identity
-    p = cyclic_pair(6)
-    rot = p.group.generators[0]
-    cube = compose(rot, compose(rot, rot))
-    for at, value in ((cube, compose(rot, rot)), (p.group.identity, cube)):
-        mapping = {**identity_surj(p).mapping, at: value}
-        report = check_surj_morphism(SurjMorphism(p, p, mapping))
-        assert len(report) == 1 and report[0].startswith("homomorphism:"), report
-        star = StarMorphism(p, p, p.group, p.omega, mapping)
-        report = check_star_morphism(star)
-        assert len(report) == 1 and report[0].startswith("homomorphism:"), report
+def test_morphism_checks_accept_exactly_the_bijections_that_extend():
+    # every bijection of R5's five reflections, as the values of a surj
+    # morphism and of a star morphism on them; the 20 affine ones extend to
+    # automorphisms of D5 and the other 100 extend to no homomorphism
+    p = refl_pair(5)
+    accepted = 0
+    for images in itertools.permutations(p.omega):
+        extends = extends_to_hom(p.omega, images) is not None
+        values = dict(zip(p.omega, images))
+        surj = check_surj_morphism(SurjMorphism(p, p, values))
+        star = check_star_morphism(StarMorphism(p, p, p.group, p.omega, values))
+        assert (surj == []) == extends and (star == []) == extends, (surj, star)
+        if not extends:
+            assert [line.split(":")[0] for line in surj + star] == ["homomorphism"] * 2
+        accepted += extends
+    assert accepted == 20
 
 
 def test_enumerate_surj_morphisms_r9_to_r3():
@@ -138,6 +147,22 @@ def test_compose_surj():
         assert compose_surj(ident3, m) == m
 
 
+def test_compositions_raise_runtime_error_on_invalid_inputs():
+    # a value that is not one of the outer morphism's generators, or a
+    # projection with no value at a member of its subset, means an input
+    # was not valid: RuntimeError, which verify_equivalence records
+    p = refl_pair(3)
+    ident = identity_surj(p)
+    off = SurjMorphism(p, p, {**ident.mapping, p.omega[0]: p.group.identity})
+    with pytest.raises(RuntimeError, match="leaves the outer"):
+        compose_surj(ident, off)
+    star = identity_star(p)
+    missing = StarMorphism(p, p, p.group, p.omega, {w: w for w in p.omega[1:]})
+    for m2, m1 in ((star, missing), (missing, star)):
+        with pytest.raises(RuntimeError, match="no value"):
+            compose_star(m2, m1)
+
+
 def test_star_identity_and_check():
     p = refl_pair(3)
     ident = identity_star(p)
@@ -150,7 +175,7 @@ def test_star_check_rejects_unstable_gamma():
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])  # conjugation closure fails: 2*1-2 = 0 but 2*2-1 = 3
     h = close_group(list(gamma))
-    m = StarMorphism(p3, p9, h, gamma, {g: p3.group.identity for g in h.elements})
+    m = StarMorphism(p3, p9, h, gamma, {g: p3.group.identity for g in gamma})
     clauses = check_star_morphism(m)
     assert any("stab" in c or "conj" in c for c in clauses)
 
@@ -210,8 +235,10 @@ def test_star_composition_chains_projections():
     p3, p9 = refl_pair(3), refl_pair(9)
     m = enumerate_star_morphisms(p3, p9)[0]
     comp = compose_star(m, identity_star(p3))
+    assert comp.proj == m.proj
+    full, m_full = proj_on_domain(comp), proj_on_domain(m)
     for g in comp.domain_group.elements:
-        assert comp.proj[g] == m.proj[g]
+        assert full[g] == m_full[g]
 
 
 def test_star_composition_with_isomorphism_transports_structure():
@@ -221,18 +248,22 @@ def test_star_composition_with_isomorphism_transports_structure():
     phi0 = enumerate_star_morphisms(p3, p9)[0]
     r = tuple((i + 1) % 9 for i in range(9))
     rinv = inverse(r)
-    proj = {h: compose(compose(rinv, h), r) for h in p9.group.elements}
-    iso = StarMorphism(p9, p9, p9.group, p9.omega, proj)
+    iso = StarMorphism(
+        p9, p9, p9.group, p9.omega, {w: compose(compose(rinv, w), r) for w in p9.omega}
+    )
     assert check_star_morphism(iso) == []
     assert is_star_isomorphism(iso)
     comp = compose_star(iso, phi0)
     assert check_star_morphism(comp) == []
+    proj = proj_on_domain(iso)
+    assert proj == {h: compose(compose(rinv, h), r) for h in p9.group.elements}
     h1 = set(phi0.domain_group.elements)
     gamma1 = set(phi0.domain_omega)
     assert set(comp.domain_group.elements) == {g for g in proj if proj[g] in h1}
     assert set(comp.domain_omega) == {g for g in proj if proj[g] in gamma1}
+    comp_full, phi0_full = proj_on_domain(comp), proj_on_domain(phi0)
     for g in comp.domain_group.elements:
-        assert comp.proj[g] == phi0.proj[proj[g]]
+        assert comp_full[g] == phi0_full[proj[g]]
 
 
 def test_bijective_surj_morphisms_have_explicit_inverses():
@@ -260,7 +291,7 @@ def test_non_injective_projection_star_morphism():
     gamma = tuple(sorted(compose(tuple(p) + (3, 4, 5), cycle) for p in t3))
     src = make_genpair(symmetric_group(3), t3)
     h = close_group(list(gamma))
-    proj = {g: g[:3] for g in h.elements}
+    proj = {g: g[:3] for g in gamma}
     for omega in (s6.sorted_elements(),
                   [p for p in s6.sorted_elements() if p != s6.identity]):
         tgt = make_genpair(s6, omega)
@@ -282,9 +313,8 @@ def test_star_enumeration_matches_brute_force():
     seen = 0
     for src, tgt in [*itertools.product(pairs, repeat=2), (inn(dihedral(3)), inn(dihedral(9)))]:
         fast = enumerate_star_morphisms(src, tgt)
-        keys = {m.key() for m in fast}
-        assert len(keys) == len(fast)
-        assert keys == brute_force_star_morphisms(src, tgt)
+        assert len({m.key() for m in fast}) == len(fast)
+        assert {star_graph(m) for m in fast} == brute_force_star_morphisms(src, tgt)
         seen += len(fast)
     assert seen > 0
 
@@ -308,9 +338,8 @@ def test_star_enumeration_matches_brute_force_on_unstable_omegas():
     seen = 0
     for src, tgt in itertools.product(pairs, repeat=2):
         fast = enumerate_star_morphisms(src, tgt)
-        keys = {m.key() for m in fast}
-        assert len(keys) == len(fast)
-        assert keys == brute_force_star_morphisms(src, tgt)
+        assert len({m.key() for m in fast}) == len(fast)
+        assert {star_graph(m) for m in fast} == brute_force_star_morphisms(src, tgt)
         seen += len(fast)
     assert seen > 0
 
@@ -378,7 +407,7 @@ def test_star_check_reports_each_one_field_variant():
     m = enumerate_star_morphisms(p3, p9)[0]
     assert check_star_morphism(m) == []
 
-    h = next(g for g in m.domain_group.elements if g != p9.group.identity)
+    h = m.domain_omega[0]
     other = next(x for x in p3.group.sorted_elements() if x != m.proj[h])
     bad_proj = StarMorphism(p3, p9, m.domain_group, m.domain_omega, {**m.proj, h: other})
     s3 = dihedral_group(3)
@@ -410,7 +439,7 @@ def test_star_check_failing_report_is_stable():
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])
     h = close_group(list(gamma))
-    m = StarMorphism(p3, p9, h, gamma, {g: p3.group.identity for g in h.elements})
+    m = StarMorphism(p3, p9, h, gamma, {g: p3.group.identity for g in gamma})
     first = check_star_morphism(m)
     assert first
     assert check_star_morphism(m) == first
@@ -423,7 +452,7 @@ def test_star_check_reports_a_domain_group_that_gamma_does_not_generate():
     m = enumerate_star_morphisms(p3, p9)[0]
     elements = frozenset(m.domain_omega) | {p9.group.identity}
     domain = PermGroup(p9.degree, m.domain_omega, elements)
-    bad = StarMorphism(p3, p9, domain, m.domain_omega, {h: m.proj[h] for h in elements})
+    bad = StarMorphism(p3, p9, domain, m.domain_omega, m.proj)
     report = check_star_morphism(bad)
     assert any(line.startswith("generation:") for line in report), report
 

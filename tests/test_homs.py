@@ -17,6 +17,7 @@ from quandlekit import (
     enumerate_group_homs,
     enumerate_homs,
     enumerate_star_morphisms,
+    extend_hom,
     homs_to_dict,
     identity_hom,
     identity_star,
@@ -151,7 +152,9 @@ def test_induced_surjective_identity_and_automorphism():
     p3 = inn(r3)
     m = induced_surjective(identity_hom(r3), p3, p3)
     assert len(m.source.group) == 6
-    assert all(m.mapping[g] == g for g in m.source.group.elements)
+    assert m.mapping == {w: w for w in p3.omega}
+    full = extend_hom(m.mapping.items(), p3.degree, p3.degree)
+    assert all(full[g] == g for g in m.source.group.elements)
     # negation is a quandle automorphism of R9 and lifts to the symmetry
     # relabeling s_x -> s_{-x} on the inner group
     r9 = dihedral(9)
@@ -285,12 +288,14 @@ def test_induced_maps_match_word_evaluation():
     for (q1, p1), (q2, p2) in itertools.product(zip(corpus, pairs), repeat=2):
         for f in enumerate_homs(q1, q2, "surjective"):
             m = induced_surjective(f, p1, p2)
-            assert (m.source.group.elements, m.mapping) == induced_by_words(f, "surjective")
+            full = extend_hom(m.mapping.items(), p1.degree, p2.degree)
+            assert (m.source.group.elements, full) == induced_by_words(f, "surjective")
             seen["surjective"] += 1
         for f in enumerate_homs(q1, q2, "injective"):
             m = induced_injective(f, p1, p2)
             domain, proj = induced_by_words(f, "injective")
-            assert m.domain_group.elements == domain and m.proj == proj
+            full = extend_hom(m.proj.items(), p2.degree, p1.degree)
+            assert m.domain_group.elements == domain and full == proj
             assert set(m.domain_omega) == {q2.table[v] for v in f.mapping}
             seen["injective"] += 1
     assert seen["surjective"] > 0 and seen["injective"] > 0

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from quandlekit import (
     CapExceeded,
-    PermGroup,
     all_transpositions,
     close_group,
     compose,

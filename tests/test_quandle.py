@@ -23,7 +23,7 @@ from quandlekit import (
     trivial_quandle,
 )
 from quandlekit.quandle import validate_abelian_automorphism
-from quandlekit.perm import all_transpositions, centralizer_of_subset_is_trivial
+from quandlekit.perm import centralizer_of_subset_is_trivial
 
 from helpers import abelian_automorphisms, conjugacy_classes
 
