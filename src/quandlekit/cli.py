@@ -252,10 +252,11 @@ def _corpus_member(token: str) -> Quandle:
     m = re.fullmatch(r"r(\d+)", t)
     if m:
         return dihedral(int(m.group(1)))
-    if t.startswith("dihedral:"):
-        return dihedral(int(t.split(":")[1]))
-    if t.startswith("trivial:"):
-        return trivial_quandle(int(t.split(":")[1]))
+    m = re.fullmatch(r"(dihedral|trivial):(\d+)", t)
+    if m:
+        return (dihedral if m.group(1) == "dihedral" else trivial_quandle)(int(m.group(2)))
+    if t.startswith(("dihedral:", "trivial:")):
+        raise ValueError("corpus token %r must look like dihedral:N or trivial:N" % t)
     if t.startswith("alex:"):
         parts = t.split(":")
         if len(parts) != 3:

@@ -101,7 +101,7 @@ def G_inj_mor(m: StarMorphism, source_quandle: Quandle, target_quandle: Quandle)
     The quandles are to_quandle of m's source and target.  The result is
     built, not checked: check_hom checks it.
     """
-    back = {m.proj[g]: g for g in m.domain_omega}
+    back = {v: g for g, v in m.proj.items()}
     pos2 = m.target.omega_position
     return QuandleHom(
         source_quandle, target_quandle, tuple(pos2[back[w]] for w in m.source.omega)
@@ -144,12 +144,12 @@ def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
 def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
     """The round-trip isomorphism on the pair side, backwards-partial flavor.
 
-    round_trip is to_pair(to_quandle(p)).  The domain is the whole original
-    pair and the projection is the conjugation action onto round_trip's
+    round_trip is to_pair(to_quandle(p)).  The subset is the whole of p's
+    omega and the projection is the conjugation action onto round_trip's
     group, sending w to the symmetry at w.  The result is built, not
     checked: check_star_morphism and is_star_isomorphism check it.
     """
-    return StarMorphism(round_trip, p, p.group, p.omega, conjugation_action(p))
+    return StarMorphism(round_trip, p, conjugation_action(p))
 
 
 @dataclass

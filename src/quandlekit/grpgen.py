@@ -4,23 +4,25 @@ A GenPair is a permutation group together with a subset omega that generates
 it.  Two kinds of structure-preserving maps between pairs show up:
 
 * SurjMorphism: a group homomorphism carrying omega onto omega.
-* StarMorphism: a backwards-partial map.  It consists of a subgroup of the
-  target generated by a conjugation-stable subset of the target's omega,
-  plus a projection homomorphism from that subgroup onto the source whose
-  restriction to the subset is a bijection onto the source omega.
+* StarMorphism: a backwards-partial map.  It consists of a
+  conjugation-stable subset gamma of the target's omega, plus a projection
+  homomorphism from the subgroup gamma generates onto the source whose
+  restriction to gamma is a bijection onto the source omega.
 
-Both are stored as their values on the generators (omega, or the
-subset), which fix them; extend_hom extends such values to the group.
-Star morphisms compose back to front: the new subset is the part of the
-outer morphism's subset that projects into the inner one's, and the new
-projection is the chain of the two on it.
+Both are stored as their values on the generators (omega, or gamma), which
+fix them; extend_hom extends such values to the group.  A star morphism's
+gamma is the set of its projection's keys, and the subgroup gamma
+generates is derived from it on first use.  Star morphisms compose back to
+front: the new subset is the part of the outer morphism's subset that
+projects into the inner one's, and the new projection is the chain of the
+two on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .perm import (
     DEFAULT_CAP,
@@ -30,6 +32,7 @@ from .perm import (
     close_group,
     compose,
     centralizer_of_subset_is_trivial,
+    conjugation_stable_under,
     group_from_lines,
     group_to_lines,
     identity,
@@ -51,7 +54,8 @@ class GenPair:
     computed on first use.
 
     _subgroups, keyed by content only, maps a sorted tuple of group
-    elements to the subgroup it generates; subgroup() reads and fills it.
+    elements to the subgroup it generates; it starts with omega, which
+    generates the group itself, and subgroup() reads and fills it.
     Whoever builds the pair (inn, genpair_from_text, close_group) bounds
     its group by a cap; those subgroups lie inside it and take no cap of
     their own.
@@ -62,6 +66,9 @@ class GenPair:
     _subgroups: dict[tuple[Perm, ...], PermGroup] = field(
         default_factory=dict, repr=False
     )
+
+    def __post_init__(self) -> None:
+        self._subgroups[self.omega] = self.group
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -86,16 +93,16 @@ class GenPair:
     def omega_position(self) -> dict[Perm, int]:
         return {w: i for i, w in enumerate(self.omega)}
 
-    def subgroup(self, gamma: tuple[Perm, ...], build: Callable[[], PermGroup]) -> PermGroup:
+    def subgroup(self, gamma: tuple[Perm, ...]) -> PermGroup:
         """The subgroup generated by gamma, a sorted tuple of group elements.
 
-        build() makes it on the first request for gamma and the result is
-        remembered.  It lies inside the pair's group, so a closure bounded
-        by len(self.group) never raises.
+        It is closed on the first request for gamma and remembered.  It lies
+        inside the pair's group, so a closure bounded by len(self.group)
+        never raises.
         """
         group = self._subgroups.get(gamma)
         if group is None:
-            group = self._subgroups[gamma] = build()
+            group = self._subgroups[gamma] = close_group(gamma, cap=len(self.group))
         return group
 
 
@@ -187,17 +194,25 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
 class StarMorphism:
     """A backwards-partial morphism between pairs.
 
-    domain_group is a subgroup of the target group, generated by
-    domain_omega (gamma), a conjugation-stable subset of the target omega.
-    proj is a homomorphism domain_group -> source group, stored as its
-    values on gamma: a bijection gamma -> source omega.
+    proj holds the values on gamma, a conjugation-stable subset of the
+    target omega, of a homomorphism from the subgroup gamma generates onto
+    the source group: a bijection gamma -> source omega.  gamma is proj's
+    keys, so it is not stored; domain_omega lists it in canonical order,
+    and domain_group is the subgroup it generates, read from the target
+    pair's subgroup() memo on first use.
     """
 
     source: GenPair
     target: GenPair
-    domain_group: PermGroup
-    domain_omega: tuple[Perm, ...]
     proj: dict[Perm, Perm]
+
+    @cached_property
+    def domain_omega(self) -> tuple[Perm, ...]:
+        return tuple(sorted(self.proj))
+
+    @cached_property
+    def domain_group(self) -> PermGroup:
+        return self.target.subgroup(self.domain_omega)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StarMorphism):
@@ -205,18 +220,12 @@ class StarMorphism:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.domain_group.elements == other.domain_group.elements
-            and set(self.domain_omega) == set(other.domain_omega)
             and self.proj == other.proj
         )
 
-    def key(self) -> tuple:
-        """Hashable canonical form: (domain elements, subset, proj on it)."""
-        return (
-            self.domain_group.elements,
-            frozenset(self.domain_omega),
-            frozenset(self.proj.items()),
-        )
+    def key(self) -> frozenset:
+        """Hashable canonical form of the values on gamma."""
+        return frozenset(self.proj.items())
 
     def proj_is_injective(self) -> bool:
         """For a valid morphism: proj maps onto the group the source omega
@@ -225,43 +234,30 @@ class StarMorphism:
 
 
 def identity_star(pair: GenPair) -> StarMorphism:
-    return StarMorphism(pair, pair, pair.group, pair.omega, {w: w for w in pair.omega})
+    return StarMorphism(pair, pair, {w: w for w in pair.omega})
 
 
 def check_star_morphism(m: StarMorphism) -> list[str]:
     """Report of violated clauses, tagged by which requirement failed; empty
-    means the morphism is valid: gamma generates the domain group inside
-    the target, and proj on it is a bijection onto the source omega that
-    extends to a homomorphism."""
+    means the morphism is valid: gamma, the keys of proj, is a
+    conjugation-stable subset of the target omega, and proj on it is a
+    bijection onto the source omega that extends to a homomorphism.
+
+    No group is closed: stability under the subgroup gamma generates is
+    stability under gamma's own members.
+    """
     report: list[str] = []
     tgt = m.target
     src = m.source
-    if m.domain_group.degree != tgt.degree or not (
-        m.domain_group.elements <= tgt.group.elements
-    ):
-        report.append("subgroup: domain group is not a subgroup of the target group")
-        return report
-    gamma = set(m.domain_omega)
+    gamma = set(m.proj)
     if not gamma:
         report.append("gamma: empty subset")
         return report
     if not gamma <= set(tgt.omega):
         report.append("gamma: subset is not contained in the target omega")
-    if not gamma <= m.domain_group.elements:
-        report.append("gamma: subset is not contained in the domain group")
         return report
-    # gamma lies in the target group, so its closure does too; a domain
-    # group that is not that closure may not be closed, and the clauses
-    # below multiply inside it
-    key = tuple(sorted(gamma))
-    if tgt.subgroup(key, lambda: close_group(key, cap=len(tgt.group))) != m.domain_group:
-        report.append("generation: subset does not generate the domain group")
-        return report
-    if not is_conjugation_stable(m.domain_group, gamma):
+    if not conjugation_stable_under(gamma, gamma):
         report.append("stability: subset is not conjugation-stable in the domain group")
-    if set(m.proj) != gamma:
-        report.append("homomorphism: proj domain differs from the subset")
-        return report
     if not set(m.proj.values()) <= src.group.elements:
         report.append("homomorphism: proj image leaves the source group")
         return report
@@ -280,32 +276,23 @@ def compose_star(m2: StarMorphism, m1: StarMorphism) -> StarMorphism:
     """Composite of m1 then m2 (written back to front, like functions).
 
     The composite subset is the part of m2's subset projecting into m1's,
-    and the composite projection chains the two on it.  Its closure is
-    shared through m2's target pair's subgroup() memo with
-    enumerate_star_morphisms and induced_injective.  The result is built,
-    not checked: check_star_morphism checks it.  An empty composite subset
-    or a projection missing one of its subset's values raises
-    RuntimeError, since either means the inputs were not valid morphisms.
+    and the composite projection chains the two on it; no group is closed.
+    The result is built, not checked: check_star_morphism checks it.  An
+    empty composite subset raises RuntimeError, since it means the inputs
+    were not valid morphisms.
     """
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
-    gamma1 = set(m1.domain_omega)
-    try:
-        new_gamma = tuple(sorted(g for g in m2.domain_omega if m2.proj[g] in gamma1))
-        proj = {g: m1.proj[m2.proj[g]] for g in new_gamma}
-    except KeyError:
-        raise RuntimeError("a projection has no value at a member of its subset") from None
-    if not new_gamma:
+    proj = {g: m1.proj[v] for g, v in m2.proj.items() if v in m1.proj}
+    if not proj:
         raise RuntimeError("composite subset is empty; inputs were not valid")
-    tgt = m2.target
-    group = tgt.subgroup(new_gamma, lambda: close_group(new_gamma, cap=len(tgt.group)))
-    return StarMorphism(m1.source, m2.target, group, new_gamma, proj)
+    return StarMorphism(m1.source, m2.target, proj)
 
 
 def is_star_isomorphism(m: StarMorphism) -> bool:
     """True when a valid m is invertible: its subset is the whole target
     omega, so its domain is the whole target group, and proj is injective."""
-    return set(m.domain_omega) == set(m.target.omega) and m.proj_is_injective()
+    return set(m.proj) == set(m.target.omega) and m.proj_is_injective()
 
 
 def extend_hom(
@@ -436,8 +423,8 @@ def enumerate_star_morphisms(
     no conjugate is computed twice and none is computed unasked.  For each
     surviving subset, every bijection onto the source omega is extended to
     a homomorphism of the generated subgroup by propagation, rejecting on
-    any conflict.  The subgroup comes from tgt.subgroup(), the memo that
-    compose_star and induced_injective read too.
+    any conflict.  Only the values on the subset are kept; the subgroup it
+    generates is not closed here.
 
     subset_cap bounds the candidate subsets the pruned search tries (one
     per prune test); trying more raises CapExceeded.
@@ -486,14 +473,11 @@ def enumerate_star_morphisms(
                 for j in chosen:
                     if conjugate_pos(i, j) not in chosen:
                         return
-            gamma = tuple(omega2[i] for i in chosen)
-            h_group = tgt.subgroup(gamma, lambda: close_group(gamma, cap=len(tgt.group)))
+            gamma = [omega2[i] for i in chosen]
             for hom in _extension_search(
-                list(gamma), list(src.omega), tgt.degree, src.degree, injective=True
+                gamma, list(src.omega), tgt.degree, src.degree, injective=True
             ):
-                assert set(hom) == h_group.elements
-                proj = {g: hom[g] for g in gamma}
-                results.append(StarMorphism(src, tgt, h_group, gamma, proj))
+                results.append(StarMorphism(src, tgt, {g: hom[g] for g in gamma}))
             return
         for idx in range(start, m - (k - len(chosen)) + 1):
             tried += 1

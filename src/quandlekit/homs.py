@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism
 from .perm import require_recursion_depth
-from .quandle import GenPair, Quandle, SubquandleWitness, inn_relative, is_faithful
+from .quandle import GenPair, Quandle, is_faithful
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
 MODE_WORDS = {
@@ -169,25 +169,18 @@ def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
 def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
     """The backwards-partial morphism induced by an injective homomorphism.
 
-    p1 and p2 are inn() of f's source and target.  The domain subgroup is
-    the closure of the symmetries at image points, acting on the whole
-    target; it comes from p2.subgroup(), the memo that compose_star and
-    enumerate_star_morphisms share, and lies inside p2's group, which
-    bounds its closure.  The projection sends s_{f(y)} back to s_y, from
-    f s_y = s_{f(y)} f.  f is validated as in induced_surjective; the
+    p1 and p2 are inn() of f's source and target.  The subset gamma is
+    the symmetries at image points, and the projection sends s_{f(y)} back
+    to s_y, from f s_y = s_{f(y)} f; those values are the whole morphism,
+    so no group is closed.  f is validated as in induced_surjective; the
     result is built, not checked: check_star_morphism checks it.
     """
     _require_valid(f)
     _require_faithful(f)
     if not f.is_injective():
         raise ValueError("f is not injective")
-    m = f.mapping
     t1, t2 = f.source.table, f.target.table
-    gamma = tuple(sorted(t2[v] for v in m))
-    group = p2.subgroup(
-        gamma, lambda: inn_relative(f.target, SubquandleWitness(f.target, m), len(p2.group)).group
-    )
-    return StarMorphism(p1, p2, group, gamma, {t2[v]: t1[y] for y, v in enumerate(m)})
+    return StarMorphism(p1, p2, {t2[v]: t1[y] for y, v in enumerate(f.mapping)})
 
 
 def homs_to_dict(q1: Quandle, q2: Quandle, mode: str, homs: Sequence[QuandleHom]) -> dict:

@@ -191,14 +191,20 @@ def centralizer_of_subset_is_trivial(group: PermGroup, subset: Iterable[Perm]) -
 
 
 def is_conjugation_stable(group: PermGroup, subset: Iterable[Perm]) -> bool:
-    """True when g s g^-1 stays in the subset for every g in the group.
+    """True when g s g^-1 stays in the subset for every g in the group."""
+    return conjugation_stable_under(group.generators, _require_subset(group, subset))
+
+
+def conjugation_stable_under(generators: Iterable[Perm], subset: Iterable[Perm]) -> bool:
+    """True when g s g^-1 stays in the subset for every g in the group the
+    generators generate.
 
     Only the generators are tried: conjugation by one maps the finite
     subset injectively into itself, hence onto it, so their inverses and
-    products keep it too.
+    products keep it too.  No group is closed.
     """
-    sset = frozenset(_require_subset(group, subset))
-    for g in group.generators:
+    sset = frozenset(subset)
+    for g in generators:
         ginv = inverse(g)
         for s in sset:
             if compose(compose(g, s), ginv) not in sset:

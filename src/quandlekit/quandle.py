@@ -274,29 +274,29 @@ def subquandle_closure(q: Quandle, seed: Iterable[int]) -> SubquandleWitness:
     return SubquandleWitness(q, tuple(sorted(pts)))
 
 
-def _inn_from_points(q: Quandle, points: Iterable[int], cap: int) -> GenPair:
-    # The group is the closure of exactly these generators, so the pair
-    # needs none of make_genpair's checks.
-    gens = list(dict.fromkeys(q.table[x] for x in points))
-    return GenPair(close_group(gens, cap=cap), tuple(sorted(gens)))
-
-
 def inn(q: Quandle, cap: int = DEFAULT_CAP) -> GenPair:
     """The inner group: closure of all point symmetries, with them distinguished.
 
-    Duplicate symmetries of a non-faithful quandle collapse to one omega
-    member.  Generator i of the underlying group is the symmetry at the
-    i-th point carrying a new one, so for a faithful quandle generator i is
-    the symmetry at point i.
+    It is inn_relative on the subquandle of all points.  Duplicate
+    symmetries of a non-faithful quandle collapse to one omega member.
+    Generator i of the underlying group is the symmetry at the i-th point
+    carrying a new one, so for a faithful quandle generator i is the
+    symmetry at point i.
     """
-    return _inn_from_points(q, range(q.n), cap)
+    return inn_relative(q, SubquandleWitness(q, tuple(range(q.n))), cap)
 
 
 def inn_relative(q: Quandle, subquandle: SubquandleWitness, cap: int = DEFAULT_CAP) -> GenPair:
-    """Closure of the symmetries at the subset's points, acting on all of q."""
+    """Closure of the symmetries at the subset's points, acting on all of q,
+    with them distinguished.
+
+    The group is the closure of exactly these generators, so the pair
+    needs none of make_genpair's checks.
+    """
     if subquandle.parent != q:
         raise ValueError("subquandle belongs to a different quandle")
-    return _inn_from_points(q, subquandle.points, cap)
+    gens = list(dict.fromkeys(q.table[x] for x in subquandle.points))
+    return GenPair(close_group(gens, cap=cap), tuple(sorted(gens)))
 
 
 def quandle_to_text(q: Quandle) -> str:

@@ -257,6 +257,15 @@ def test_verify_rejects_malformed_alex_token(capsys):
     assert "'alex:z5'" in err and "alex:FACTORS:PHI" in err
 
 
+def test_verify_rejects_dihedral_and_trivial_tokens_with_extra_fields(capsys):
+    assert main(["verify", "--mode", "surj", "--corpus", "dihedral:3,trivial:1"]) == 0
+    capsys.readouterr()
+    for token in ("dihedral:3:junk", "trivial:1:x", "dihedral:", "trivial:three"):
+        assert main(["verify", "--mode", "surj", "--corpus", "r3," + token]) == 2
+        err = capsys.readouterr().err
+        assert repr(token) in err and "dihedral:N or trivial:N" in err
+
+
 def test_homs_too_deep_for_the_stack_exits_2(tmp_path, capsys, monkeypatch):
     # the backtracker recurses once per source point; a source larger than
     # the interpreter's recursion limit allows is refused, not overflowed

@@ -28,7 +28,7 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
-from quandlekit import homs
+from quandlekit import grpgen
 from quandlekit.quandle import is_faithful
 
 from helpers import brute_force_homs, hom_mappings, induced_by_words, iso_class_representatives
@@ -189,18 +189,21 @@ def test_induced_injective_closes_each_image_subgroup_once(monkeypatch):
     r3, r9 = dihedral(3), dihedral(9)
     p3, p9 = inn(r3), inn(r9)
     calls = []
-    real = homs.inn_relative
-    monkeypatch.setattr(homs, "inn_relative", lambda *a: calls.append(a) or real(*a))
+    real = grpgen.close_group
+    monkeypatch.setattr(grpgen, "close_group", lambda *a, **k: calls.append(a) or real(*a, **k))
     fs = enumerate_homs(r3, r9, "injective")
     ms = [induced_injective(f, p3, p9) for f in fs]
-    assert len(fs) == 18 and len(calls) == len({frozenset(f.mapping) for f in fs}) == 3
-    # the closures live in the target pair, where compose_star finds them
+    # building closes nothing; reading a domain group closes its subset once
+    assert len(fs) == 18 and calls == []
+    assert all(len(m.domain_group) == 6 for m in ms)
+    assert len(calls) == len({frozenset(f.mapping) for f in fs}) == 3
+    # the closures live in the target pair, next to its own omega's group
     assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in ms)
     assert compose_star(ms[0], identity_star(p3)) == ms[0] and len(calls) == 3
-    # the star enumerator shares the memo: its domain groups are the entries
+    # the star enumerator's morphisms read the same memo entries
     stars = enumerate_star_morphisms(p3, p9)
-    assert len(stars) == 18 and len(p9._subgroups) == 3 and len(calls) == 3
     assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in stars)
+    assert len(stars) == 18 and len(p9._subgroups) == 4 and len(calls) == 3
 
 
 def test_induced_injective_rejects_non_injective():
