@@ -215,10 +215,10 @@ def _star_to_dict(m: StarMorphism) -> dict:
     tpos, spos = m.target.group.element_index, m.source.group.element_index
     pi = extend_hom(m.proj.items(), m.target.degree, m.source.degree)
     return {
-        "subgroup": sorted(tpos(h) for h in m.domain_group.elements),
+        "subgroup": sorted(tpos(h) for h in pi),
         "gamma": sorted(tpos(g) for g in m.domain_omega),
         "pi": sorted([tpos(h), spos(v)] for h, v in pi.items()),
-        "pi_injective": m.proj_is_injective(),
+        "pi_injective": len(set(pi.values())) == len(pi),
     }
 
 

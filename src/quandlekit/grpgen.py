@@ -12,15 +12,20 @@ it.  Two kinds of structure-preserving maps between pairs show up:
 Both are stored as their values on the generators (omega, or gamma), which
 fix them; extend_hom extends such values to the group.  A star morphism's
 gamma is the set of its projection's keys, and the subgroup gamma
-generates is derived from it on first use.  Star morphisms compose back to
+generates is closed from it on first use.  Star morphisms compose back to
 front: the new subset is the part of the outer morphism's subset that
 projects into the inner one's, and the new projection is the chain of the
 two on it.
+
+The projection's inverse on gamma is an isomorphism of conjugation
+quandles from the source omega onto gamma, so enumerate_star_morphisms
+searches those isomorphisms from their values on a quandle generating set
+of the source omega; no subset of the target omega is searched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
@@ -32,14 +37,17 @@ from .perm import (
     close_group,
     compose,
     centralizer_of_subset_is_trivial,
+    conjugate,
     conjugation_stable_under,
     group_from_lines,
     group_to_lines,
     identity,
-    inverse,
     is_conjugation_stable,
     require_recursion_depth,
 )
+
+# Assignments enumerate_star_morphisms may try before it gives up.
+SUBSET_CAP = 1_000_000
 
 
 @dataclass(eq=False)
@@ -51,24 +59,13 @@ class GenPair:
     conj_stable records whether omega is closed under conjugation by the
     whole group; faithful records whether only the identity centralizes all
     of omega; omega_position maps each omega member to its index.  All are
-    computed on first use.
-
-    _subgroups, keyed by content only, maps a sorted tuple of group
-    elements to the subgroup it generates; it starts with omega, which
-    generates the group itself, and subgroup() reads and fills it.
-    Whoever builds the pair (inn, genpair_from_text, close_group) bounds
-    its group by a cap; those subgroups lie inside it and take no cap of
-    their own.
+    computed on first use.  Whoever builds the pair (inn,
+    genpair_from_text, close_group) bounds its group by a cap; a subgroup
+    closed inside it takes no cap of its own.
     """
 
     group: PermGroup
     omega: tuple[Perm, ...]
-    _subgroups: dict[tuple[Perm, ...], PermGroup] = field(
-        default_factory=dict, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        self._subgroups[self.omega] = self.group
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -92,18 +89,6 @@ class GenPair:
     @cached_property
     def omega_position(self) -> dict[Perm, int]:
         return {w: i for i, w in enumerate(self.omega)}
-
-    def subgroup(self, gamma: tuple[Perm, ...]) -> PermGroup:
-        """The subgroup generated by gamma, a sorted tuple of group elements.
-
-        It is closed on the first request for gamma and remembered.  It lies
-        inside the pair's group, so a closure bounded by len(self.group)
-        never raises.
-        """
-        group = self._subgroups.get(gamma)
-        if group is None:
-            group = self._subgroups[gamma] = close_group(gamma, cap=len(self.group))
-        return group
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -198,8 +183,9 @@ class StarMorphism:
     target omega, of a homomorphism from the subgroup gamma generates onto
     the source group: a bijection gamma -> source omega.  gamma is proj's
     keys, so it is not stored; domain_omega lists it in canonical order,
-    and domain_group is the subgroup it generates, read from the target
-    pair's subgroup() memo on first use.
+    and domain_group is the subgroup it generates, closed on first use.  It
+    lies inside the target group, so a closure bounded by that group's
+    order never raises.
     """
 
     source: GenPair
@@ -212,7 +198,7 @@ class StarMorphism:
 
     @cached_property
     def domain_group(self) -> PermGroup:
-        return self.target.subgroup(self.domain_omega)
+        return close_group(self.domain_omega, cap=len(self.target.group))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StarMorphism):
@@ -291,8 +277,9 @@ def compose_star(m2: StarMorphism, m1: StarMorphism) -> StarMorphism:
 
 def is_star_isomorphism(m: StarMorphism) -> bool:
     """True when a valid m is invertible: its subset is the whole target
-    omega, so its domain is the whole target group, and proj is injective."""
-    return set(m.proj) == set(m.target.omega) and m.proj_is_injective()
+    omega, so its domain is the whole target group, and proj is injective,
+    so the two groups have the same order.  No group is closed."""
+    return set(m.proj) == set(m.target.omega) and len(m.source.group) == len(m.target.group)
 
 
 def extend_hom(
@@ -332,25 +319,20 @@ def _extension_search(
     candidates: list[Perm],
     domain_degree: int,
     image_degree: int,
-    injective: bool,
 ) -> Iterator[dict[Perm, Perm]]:
     """Yield every homomorphism of <gens> sending each generator into candidates.
 
     Generators already forced by earlier assignments (they lie in the closure
     of the prefix) are not branched over; their forced image must still land
-    in the candidate set.  With injective=True distinct generators must get
-    distinct images.  Enumeration order follows the candidate list, so the
-    output is deterministic.  The search recurses once per generator; too
-    many generators for the interpreter's stack raise CapExceeded.
+    in the candidate set.  Enumeration order follows the candidate list, so
+    the output is deterministic.  The search recurses once per generator;
+    too many generators for the interpreter's stack raise CapExceeded.
     """
     require_recursion_depth(len(gens), "extension search over %d generators" % len(gens))
     candidate_set = set(candidates)
 
     def rec(
-        i: int,
-        pairs: list[tuple[Perm, Perm]],
-        hom: dict[Perm, Perm],
-        used: frozenset[Perm],
+        i: int, pairs: list[tuple[Perm, Perm]], hom: dict[Perm, Perm]
     ) -> Iterator[dict[Perm, Perm]]:
         if i == len(gens):
             yield hom
@@ -358,33 +340,25 @@ def _extension_search(
         g = gens[i]
         forced = hom.get(g)
         if forced is not None:
-            if forced not in candidate_set:
-                return
-            if injective and forced in used:
-                return
-            yield from rec(i + 1, pairs, hom, used | {forced})
+            if forced in candidate_set:
+                yield from rec(i + 1, pairs, hom)
             return
         for u in candidates:
-            if injective and u in used:
-                continue
             pairs2 = pairs + [(g, u)]
             hom2 = extend_hom(pairs2, domain_degree, image_degree)
-            if hom2 is None:
-                continue
-            yield from rec(i + 1, pairs2, hom2, used | {u})
+            if hom2 is not None:
+                yield from rec(i + 1, pairs2, hom2)
 
     start = extend_hom([], domain_degree, image_degree)
     assert start is not None
-    yield from rec(0, [], start, frozenset())
+    yield from rec(0, [], start)
 
 
 def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm]]:
     """All group homomorphisms src -> tgt, as explicit mapping dicts."""
     gens = list(dict.fromkeys(src.generators))
     out = []
-    for hom in _extension_search(
-        gens, tgt.sorted_elements(), src.degree, tgt.degree, injective=False
-    ):
+    for hom in _extension_search(gens, tgt.sorted_elements(), src.degree, tgt.degree):
         assert set(hom) == src.elements
         out.append(hom)
     return out
@@ -399,9 +373,7 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
     """
     target_omega = set(tgt.omega)
     out = []
-    for hom in _extension_search(
-        list(src.omega), list(tgt.omega), src.degree, tgt.degree, injective=False
-    ):
+    for hom in _extension_search(list(src.omega), list(tgt.omega), src.degree, tgt.degree):
         mapping = {w: hom[w] for w in src.omega}
         if set(mapping.values()) != target_omega:
             continue
@@ -410,87 +382,96 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
     return out
 
 
-def enumerate_star_morphisms(
-    src: GenPair, tgt: GenPair, subset_cap: int = 1_000_000
-) -> list[StarMorphism]:
+def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
     """All StarMorphisms src -> tgt, in canonical order, duplicate free.
 
-    Candidate subsets of the target omega (of size |source omega|) are grown
-    in index order with an incremental conjugation-closure prune, then
-    re-verified whole.  Both tests read the position in omega of each
-    conjugate w_i w_j w_i^-1 (None when it leaves omega) from a memo keyed
-    by the index pair (i, j), filled one entry at a time on first use, so
-    no conjugate is computed twice and none is computed unasked.  For each
-    surviving subset, every bijection onto the source omega is extended to
-    a homomorphism of the generated subgroup by propagation, rejecting on
-    any conflict.  Only the values on the subset are kept; the subgroup it
-    generates is not closed here.
-
-    subset_cap bounds the candidate subsets the pruned search tries (one
-    per prune test); trying more raises CapExceeded.
+    sigma = (proj on gamma)^-1 is an isomorphism of conjugation quandles
+    from the source omega onto gamma, so its values on a quandle generating
+    set Q fix it.  Q grows with the search: its next member is the first
+    point sigma does not reach yet, most moved points first, since those
+    pin the most.  Each branch sends it to an unused target omega member and
+    extends sigma by sigma(x |> y) = sigma(x) |> sigma(y); it dies when such
+    a conjugate leaves the target omega, clashes with sigma or repeats one
+    of its values.  A complete sigma is kept when its values on Q extend to
+    a homomorphism, which then agrees with sigma^-1 on all of gamma.  The
+    output is sorted by gamma's positions in the target omega, then by the
+    source positions of proj's values in gamma order.  A source omega not
+    closed under its own conjugation has no morphisms.  Trying more than
+    SUBSET_CAP assignments, or a Q deeper than the interpreter's stack
+    allows, raises CapExceeded.
     """
-    k = len(src.omega)
-    omega2 = tgt.omega
-    m = len(omega2)
+    omega, lam = src.omega, tgt.omega
+    k, m = len(omega), len(lam)
     if k > m:
         return []
-    # the subset search and the extension search below it each recurse k deep
-    require_recursion_depth(2 * k, "star morphism search from an omega of size %d" % k)
-    omega2_pos = tgt.omega_position
-    inverses: dict[int, Perm] = {}
-    conjugates: dict[tuple[int, int], int | None] = {}
-    results: list[StarMorphism] = []
+    pos, lam_pos = src.omega_position, tgt.omega_position
+    table = [[pos.get(conjugate(x, y)) for y in omega] for x in omega]
+    if any(None in row for row in table):
+        return []
+    order = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
+    target_table: dict[tuple[int, int], int] = {}  # -1: the conjugate leaves omega
+    sigma, preimage = [-1] * k, [-1] * m
+    assigned: list[int] = []
+    found: list[tuple[tuple[list[int], list[int]], StarMorphism]] = []
     tried = 0
 
-    def conjugate_pos(i: int, j: int) -> int | None:
-        """Position of omega2[i] omega2[j] omega2[i]^-1 in omega2, or None."""
-        try:
-            return conjugates[i, j]
-        except KeyError:
-            pass
-        xi = inverses.get(i)
-        if xi is None:
-            xi = inverses[i] = inverse(omega2[i])
-        pos = conjugates[i, j] = omega2_pos.get(
-            compose(compose(omega2[i], omega2[j]), xi)
-        )
-        return pos
-
-    def viable(chosen: list[int], newest: int) -> bool:
-        # A conjugate that is outside omega, or that would have needed an
-        # index we already passed, can never be added later.
-        for old in chosen:
-            for i, j in ((newest, old), (old, newest), (newest, newest)):
-                pos = conjugate_pos(i, j)
-                if pos is None or (pos < newest and pos not in chosen):
-                    return False
+    def assign(q: int, a: int) -> bool:
+        # sigma(q) = a, then each ordered pair of assigned points is checked
+        # once, when the later of the two is reached; x |> x = x needs none
+        sigma[q], preimage[a] = a, q
+        assigned.append(q)
+        i = len(assigned) - 1
+        while i < len(assigned):
+            x = assigned[i]
+            for y in assigned[:i]:
+                for u, v in ((x, y), (y, x)):
+                    su, sv = sigma[u], sigma[v]
+                    c = target_table.get((su, sv))
+                    if c is None:
+                        c = target_table[su, sv] = lam_pos.get(conjugate(lam[su], lam[sv]), -1)
+                    z = table[u][v]
+                    if c >= 0 and sigma[z] == -1 and preimage[c] == -1:
+                        sigma[z], preimage[c] = c, z
+                        assigned.append(z)
+                    elif c < 0 or sigma[z] != c:
+                        return False
+            i += 1
         return True
 
-    def grow(chosen: list[int], start: int) -> None:
+    def search(gens: list[int]) -> None:
         nonlocal tried
-        if len(chosen) == k:
-            for i in chosen:
-                for j in chosen:
-                    if conjugate_pos(i, j) not in chosen:
-                        return
-            gamma = [omega2[i] for i in chosen]
-            for hom in _extension_search(
-                gamma, list(src.omega), tgt.degree, src.degree, injective=True
-            ):
-                results.append(StarMorphism(src, tgt, {g: hom[g] for g in gamma}))
+        if len(assigned) == k:
+            pairs = [(lam[sigma[q]], omega[q]) for q in gens]
+            hom = extend_hom(pairs, tgt.degree, src.degree)
+            if hom is not None:
+                proj = {lam[sigma[x]]: omega[x] for x in range(k)}
+                assert all(hom[g] == v for g, v in proj.items())
+                gamma = sorted(sigma)
+                key = (gamma, [preimage[a] for a in gamma])
+                found.append((key, StarMorphism(src, tgt, proj)))
             return
-        for idx in range(start, m - (k - len(chosen)) + 1):
+        depth = len(gens) + 1
+        require_recursion_depth(depth, "star morphism search over %d generators" % depth)
+        q = next(x for x in order if sigma[x] == -1)
+        mark = len(assigned)
+        for a in range(m):
+            if preimage[a] != -1:
+                continue
             tried += 1
-            if tried > subset_cap:
+            if tried > SUBSET_CAP:
                 raise CapExceeded(
-                    "subset search tried more than subset_cap=%d candidate"
-                    " subsets" % subset_cap
+                    "star morphism search tried more than subset_cap=%d"
+                    " assignments" % SUBSET_CAP
                 )
-            if viable(chosen, idx):
-                grow(chosen + [idx], idx + 1)
+            if assign(q, a):
+                search(gens + [q])
+            for x in assigned[mark:]:
+                preimage[sigma[x]] = sigma[x] = -1
+            del assigned[mark:]
 
-    grow([], 0)
-    return results
+    search([])
+    found.sort(key=lambda item: item[0])
+    return [mor for _, mor in found]
 
 
 def genpair_to_text(pair: GenPair) -> str:

@@ -24,7 +24,7 @@ from .perm import (
     Perm,
     PermGroup,
     close_group,
-    compose,
+    conjugate,
     inverse,
     is_perm,
     perm_to_text,
@@ -201,10 +201,9 @@ def conjugation_quandle(group: PermGroup, omega: Iterable[Perm]) -> Quandle:
     index = {p: i for i, p in enumerate(pts)}
     table = []
     for x in pts:
-        xinv = inverse(x)
         row = []
         for y in pts:
-            z = compose(compose(x, y), xinv)
+            z = conjugate(x, y)
             if z not in index:
                 raise ValueError("omega is not conjugation-stable (conjugate escapes)")
             row.append(index[z])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quandlekit import cli, dihedral, enumerate_star_morphisms, quandle_from_text
+from quandlekit import dihedral, grpgen, quandle_from_text
 from quandlekit.cli import load_corpus, main
 from quandlekit.perm import RECURSION_MARGIN
 
@@ -170,8 +171,8 @@ def test_star_homs(tmp_path, capsys):
 
 
 def test_star_homs_subset_cap(tmp_path, capsys, monkeypatch):
-    # inn(R9) -> inn(R27) has C(27, 9) candidate subsets, more than the
-    # default subset_cap, but the pruned search tries far fewer
+    # inn(R9) -> inn(R27) has C(27, 9) subsets of the target omega, more
+    # than SUBSET_CAP, but the search assigns only a quandle generating set
     paths = {}
     for n in (3, 9, 27):
         paths[n] = tmp_path / ("p%d.pair" % n)
@@ -181,14 +182,35 @@ def test_star_homs_subset_cap(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert out.splitlines()[0] == "count: 162"
 
-    def capped(src, tgt):
-        return enumerate_star_morphisms(src, tgt, subset_cap=5)
-
-    monkeypatch.setattr(cli, "enumerate_star_morphisms", capped)
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", 5)
     rc = main(["star-homs", str(paths[3]), str(paths[9])])
     captured = capsys.readouterr()
     assert rc == 2
     assert "subset_cap=5" in captured.err
+
+
+# sha256 of star-homs --json on inner pairs, keyed "<source> <target>" by
+# corpus token, so that any change to a listed morphism or to their order
+# shows.
+GOLDEN_STAR_HOMS = json.loads(Path(__file__).with_name("golden_star_homs.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STAR_HOMS))
+def test_star_homs_json_matches_golden_digest(key, tmp_path, capsys):
+    paths = []
+    for token in key.split(" "):
+        if token.startswith("conj:s"):
+            spec = ["conj", "symmetric", token[len("conj:s"):], "all"]
+        else:
+            spec = ["dihedral", token[len("r"):]]
+        quandle, pair = tmp_path / (token + ".quandle"), tmp_path / (token + ".pair")
+        assert main(["make", *spec, "--out", str(quandle)]) == 0
+        assert main(["inn", str(quandle), "--out", str(pair)]) == 0
+        paths.append(str(pair))
+    capsys.readouterr()
+    rc, out = run(capsys, "star-homs", *paths, "--json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STAR_HOMS[key]
 
 
 def test_cap_bounds_every_group_the_cli_lists(tmp_path, capsys):

@@ -8,6 +8,7 @@ from quandlekit import (
     StarMorphism,
     check_star_morphism,
     check_surj_morphism,
+    close_group,
     compose,
     compose_star,
     compose_surj,
@@ -29,7 +30,7 @@ from quandlekit import (
     make_genpair,
     symmetric_group,
 )
-from quandlekit import SurjMorphism, conjugation_quandle, is_faithful
+from quandlekit import SurjMorphism, conjugation_quandle, grpgen, is_faithful
 from quandlekit.perm import RECURSION_MARGIN, all_transpositions
 
 from helpers import brute_force_star_morphisms, extends_to_hom, iso_class_representatives
@@ -290,6 +291,22 @@ def test_non_injective_projection_star_morphism():
         assert not is_star_isomorphism(m)
 
 
+def lists_brute_force(src, tgt):
+    """Assert that the enumerator lists brute_force_star_morphisms in
+    canonical order: by gamma's positions in the target omega, then by the
+    source positions of the projection's values in gamma order.  Returns
+    the number of morphisms."""
+
+    def canonical(graph):
+        proj = dict(graph[2])
+        gamma = sorted(tgt.omega_position[g] for g in graph[1])
+        return gamma, [src.omega_position[proj[tgt.omega[a]]] for a in gamma]
+
+    fast = [star_graph(m) for m in enumerate_star_morphisms(src, tgt)]
+    assert fast == sorted(brute_force_star_morphisms(src, tgt), key=canonical)
+    return len(fast)
+
+
 def test_star_enumeration_matches_brute_force():
     # every ordered pair of inner pairs of the faithful quandles of order
     # <= 4 and of conj:s3; and R3 -> R9, whose unstable 3-subsets of
@@ -300,16 +317,26 @@ def test_star_enumeration_matches_brute_force():
     pairs = [inn(q) for q in quandles]
     seen = 0
     for src, tgt in [*itertools.product(pairs, repeat=2), (inn(dihedral(3)), inn(dihedral(9)))]:
-        fast = enumerate_star_morphisms(src, tgt)
-        assert len({m.key() for m in fast}) == len(fast)
-        assert {star_graph(m) for m in fast} == brute_force_star_morphisms(src, tgt)
-        seen += len(fast)
+        seen += lists_brute_force(src, tgt)
     assert seen > 0
 
 
+def test_star_enumeration_conj_s4_into_conj_s5():
+    # 5 copies of S4 in S5, each with 24 automorphisms of its conjugation
+    # quandle, among C(120, 24) subsets of the target omega
+    s4, s5 = symmetric_group(4), symmetric_group(5)
+    src = inn(conjugation_quandle(s4, s4.sorted_elements()))
+    tgt = inn(conjugation_quandle(s5, s5.sorted_elements()))
+    ms = enumerate_star_morphisms(src, tgt)
+    assert len(ms) == 120 and len({m.key() for m in ms}) == 120
+    assert len({frozenset(m.proj) for m in ms}) == 5
+    assert all(check_star_morphism(m) == [] for m in ms)
+
+
 def test_star_enumeration_matches_brute_force_on_unstable_omegas():
-    # omegas that are not conjugation-stable, so conjugates leave omega and
-    # the enumerator's conjugate memo holds None entries
+    # omegas that are not conjugation-stable, so conjugates leave omega:
+    # an unstable source has no morphisms, and on an unstable target a
+    # branch dies where a conjugate of assigned points leaves it
     s3, s4 = symmetric_group(3), symmetric_group(4)
     t3 = all_transpositions(3)
     swap = (1, 0)
@@ -325,19 +352,18 @@ def test_star_enumeration_matches_brute_force_on_unstable_omegas():
     assert not all(p.conj_stable for p in pairs)
     seen = 0
     for src, tgt in itertools.product(pairs, repeat=2):
-        fast = enumerate_star_morphisms(src, tgt)
-        assert len({m.key() for m in fast}) == len(fast)
-        assert {star_graph(m) for m in fast} == brute_force_star_morphisms(src, tgt)
-        seen += len(fast)
+        seen += lists_brute_force(src, tgt)
     assert seen > 0
 
 
-def test_star_enumeration_subset_cap_counts_subsets_tried():
-    # C(27, 9) = 4 686 825 subsets exceed the default cap of 1 000 000, but
-    # the pruned search tries far fewer: 27 * phi(9) = 162 morphisms
+def test_star_enumeration_subset_cap_counts_assignments_tried(monkeypatch):
+    # C(27, 9) = 4 686 825 subsets of the target omega exceed SUBSET_CAP,
+    # but the search assigns only the 2 members of a quandle generating
+    # set of R9: at most 27 * 26 assignments for 27 * phi(9) = 162 morphisms
     assert len(enumerate_star_morphisms(inn(dihedral(9)), inn(dihedral(27)))) == 162
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", 5)
     with pytest.raises(CapExceeded, match="subset_cap=5"):
-        enumerate_star_morphisms(refl_pair(3), refl_pair(9), subset_cap=5)
+        enumerate_star_morphisms(refl_pair(3), refl_pair(9))
 
 
 def counted_closures(monkeypatch):
@@ -366,9 +392,9 @@ def test_make_genpair_closes_only_when_omega_misses_a_generator(monkeypatch):
     assert len(closures) == 3
 
 
-def test_a_pair_subgroup_on_its_own_omega_is_its_group(monkeypatch):
-    # every way of building a pair seeds the subgroup memo with omega, so
-    # the isomorphism tests on identities and etas close nothing
+def test_star_isomorphism_test_closes_no_group(monkeypatch):
+    # the isomorphism test compares omegas and group orders, so on
+    # identities and etas of every way of building a pair it closes nothing
     from quandlekit import eta_star, to_pair, to_quandle
 
     s3 = symmetric_group(3)
@@ -382,11 +408,13 @@ def test_a_pair_subgroup_on_its_own_omega_is_its_group(monkeypatch):
     round_trips = [to_pair(to_quandle(p)) for p in pairs]
     calls = counted_closures(monkeypatch)
     for p, rt in zip(pairs, round_trips):
-        assert p.subgroup(p.omega) is p.group
         assert is_star_isomorphism(identity_star(p))
         assert is_star_isomorphism(eta_star(p, rt))
-        assert identity_star(p).domain_group is p.group
     assert calls == []
+    # the domain group is closed on first read, once
+    ident = identity_star(pairs[0])
+    assert ident.domain_group == pairs[0].group and ident.domain_group is ident.domain_group
+    assert len(calls) == 1
 
 
 def test_star_check_and_composition_close_no_group(monkeypatch):
@@ -399,7 +427,7 @@ def test_star_check_and_composition_close_no_group(monkeypatch):
     comps += [compose_star(identity_star(p9), m) for m in ms]
     assert all(check_star_morphism(m) == [] for m in ms + endos + comps)
     assert check_star_morphism(bad)
-    assert calls == [] and list(p9._subgroups) == [p9.omega]
+    assert calls == []
 
 
 def test_enumerate_group_homs_counts():
@@ -468,9 +496,14 @@ def test_star_check_failing_report_is_stable():
 
 def test_extension_searches_refuse_to_overflow_the_stack(monkeypatch):
     p3, p9 = refl_pair(3), refl_pair(9)
+    # six commuting involutions, the swaps of 2i and 2i + 1: a trivial
+    # quandle, whose only quandle generating set is all six
+    swaps = [tuple(j ^ 1 if j // 2 == i else j for j in range(12)) for i in range(6)]
+    p64 = make_genpair(close_group(swaps), swaps)
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: RECURSION_MARGIN + 5)
     with pytest.raises(CapExceeded, match="recursion limit"):
         enumerate_surj_morphisms(p9, p3)  # 9 generators
     with pytest.raises(CapExceeded, match="recursion limit"):
-        enumerate_star_morphisms(p3, p9)  # 3-subsets, then 3 generators
+        enumerate_star_morphisms(p64, p64)  # 6 generators
     assert len(enumerate_surj_morphisms(p3, p3)) == 6
+    assert len(enumerate_star_morphisms(p3, p9)) == 18  # 2 generators

@@ -193,17 +193,15 @@ def test_induced_injective_closes_each_image_subgroup_once(monkeypatch):
     monkeypatch.setattr(grpgen, "close_group", lambda *a, **k: calls.append(a) or real(*a, **k))
     fs = enumerate_homs(r3, r9, "injective")
     ms = [induced_injective(f, p3, p9) for f in fs]
-    # building closes nothing; reading a domain group closes its subset once
+    # building closes nothing; each morphism closes its domain group on the
+    # first read only
     assert len(fs) == 18 and calls == []
-    assert all(len(m.domain_group) == 6 for m in ms)
-    assert len(calls) == len({frozenset(f.mapping) for f in fs}) == 3
-    # the closures live in the target pair, next to its own omega's group
-    assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in ms)
-    assert compose_star(ms[0], identity_star(p3)) == ms[0] and len(calls) == 3
-    # the star enumerator's morphisms read the same memo entries
+    assert all(len(m.domain_group) == 6 for m in ms) and len(calls) == 18
+    assert all(len(m.domain_group) == 6 for m in ms) and len(calls) == 18
+    # nor do composition and the star enumerator close anything
+    assert compose_star(ms[0], identity_star(p3)) == ms[0] and len(calls) == 18
     stars = enumerate_star_morphisms(p3, p9)
-    assert all(p9._subgroups[m.domain_omega] is m.domain_group for m in stars)
-    assert len(stars) == 18 and len(p9._subgroups) == 4 and len(calls) == 3
+    assert len(stars) == 18 and len(calls) == 18
 
 
 def test_induced_injective_rejects_non_injective():

@@ -37,6 +37,8 @@ def test_compose_applies_right_factor_first():
 def test_compose_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         compose((1, 0), (0, 1, 2))
+    with pytest.raises(ValueError):
+        conjugate((1, 0), (0, 1, 2))
 
 
 def test_inverse_and_conjugate():
@@ -45,6 +47,15 @@ def test_inverse_and_conjugate():
     assert compose(inverse(p), p) == identity(4)
     g = (1, 0, 2)
     s = (0, 2, 1)
+    assert conjugate(g, s) == compose(compose(g, s), inverse(g))
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+))
+@settings(max_examples=60, deadline=None)
+def test_conjugate_is_g_s_g_inverse(gs):
+    g, s = (tuple(p) for p in gs)
     assert conjugate(g, s) == compose(compose(g, s), inverse(g))
 
 
