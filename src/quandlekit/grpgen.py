@@ -10,7 +10,9 @@ it.  Two kinds of structure-preserving maps between pairs show up:
   restriction to gamma is a bijection onto the source omega.
 
 Both are stored as their values on the generators (omega, or gamma), which
-fix them; extend_hom extends such values to the group.  A star morphism's
+fix them; extend_hom extends such values to the group.  The checks extend
+from the values on a quandle generating set of omega or gamma, which
+generates the same group, and compare on the rest.  A star morphism's
 gamma is the set of its projection's keys, and the subgroup gamma
 generates is closed from it on first use.  Star morphisms compose back to
 front: the new subset is the part of the outer morphism's subset that
@@ -38,11 +40,12 @@ from .perm import (
     compose,
     centralizer_of_subset_is_trivial,
     conjugate,
-    conjugation_stable_under,
+    conjugation_basis,
     group_from_lines,
     group_to_lines,
     identity,
     is_conjugation_stable,
+    perm_order,
     require_recursion_depth,
 )
 
@@ -58,10 +61,12 @@ class GenPair:
     trusts its arguments; make_genpair validates outside input.
     conj_stable records whether omega is closed under conjugation by the
     whole group; faithful records whether only the identity centralizes all
-    of omega; omega_position maps each omega member to its index.  All are
-    computed on first use.  Whoever builds the pair (inn,
-    genpair_from_text, close_group) bounds its group by a cap; a subgroup
-    closed inside it takes no cap of its own.
+    of omega; omega_position maps each omega member to its index;
+    omega_basis is a quandle generating set of omega (conjugation_basis),
+    which generates the group too, so a homomorphism is tested from its
+    values there.  All are computed on first use.  Whoever builds the pair
+    (inn, genpair_from_text, close_group) bounds its group by a cap; a
+    subgroup closed inside it takes no cap of its own.
     """
 
     group: PermGroup
@@ -89,6 +94,10 @@ class GenPair:
     @cached_property
     def omega_position(self) -> dict[Perm, int]:
         return {w: i for i, w in enumerate(self.omega)}
+
+    @cached_property
+    def omega_basis(self) -> tuple[Perm, ...]:
+        return tuple(conjugation_basis(self.omega)[0])
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -156,7 +165,12 @@ def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
 
 def check_surj_morphism(m: SurjMorphism) -> list[str]:
     """Report of violated clauses; empty means the morphism is valid: its
-    values on omega extend to a homomorphism and cover the target omega."""
+    values on omega extend to a homomorphism and cover the target omega.
+
+    The homomorphism is extended from the values on the source's
+    omega_basis, which generates the group, and compared with the values
+    on the rest of omega: they extend exactly when the two agree.
+    """
     report: list[str] = []
     if set(m.mapping) != set(m.source.omega):
         report.append("totality: mapping domain differs from the source omega")
@@ -164,7 +178,9 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     if not set(m.mapping.values()) <= m.target.group.elements:
         report.append("containment: some image lies outside the target group")
         return report
-    if extend_hom(m.mapping.items(), m.source.degree, m.target.degree) is None:
+    pairs = [(q, m.mapping[q]) for q in m.source.omega_basis]
+    hom = extend_hom(pairs, m.source.degree, m.target.degree)
+    if hom is None or any(hom[w] != v for w, v in m.mapping.items()):
         report.append("homomorphism: the values on omega do not extend to a homomorphism")
         return report
     omega_images = set(m.mapping.values())
@@ -229,8 +245,11 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     conjugation-stable subset of the target omega, and proj on it is a
     bijection onto the source omega that extends to a homomorphism.
 
-    No group is closed: stability under the subgroup gamma generates is
-    stability under gamma's own members.
+    No group is closed.  One conjugation_basis pass over gamma gives both
+    its stability (under the subgroup gamma generates, which is stability
+    under a basis of gamma) and a quandle generating set; the homomorphism
+    is extended from the values there and compared with proj on the rest
+    of gamma.  That is exact for any gamma, stable or not, and any proj.
     """
     report: list[str] = []
     tgt = m.target
@@ -242,12 +261,14 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if not gamma <= set(tgt.omega):
         report.append("gamma: subset is not contained in the target omega")
         return report
-    if not conjugation_stable_under(gamma, gamma):
+    basis, stable = conjugation_basis(sorted(gamma))
+    if not stable:
         report.append("stability: subset is not conjugation-stable in the domain group")
     if not set(m.proj.values()) <= src.group.elements:
         report.append("homomorphism: proj image leaves the source group")
         return report
-    if extend_hom(m.proj.items(), tgt.degree, src.degree) is None:
+    hom = extend_hom([(g, m.proj[g]) for g in basis], tgt.degree, src.degree)
+    if hom is None or any(hom[g] != v for g, v in m.proj.items()):
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
     gamma_images = set(m.proj.values())
@@ -324,12 +345,16 @@ def _extension_search(
 
     Generators already forced by earlier assignments (they lie in the closure
     of the prefix) are not branched over; their forced image must still land
-    in the candidate set.  Enumeration order follows the candidate list, so
-    the output is deterministic.  The search recurses once per generator;
-    too many generators for the interpreter's stack raise CapExceeded.
+    in the candidate set.  A candidate u is tried for a generator g only when
+    the order of u divides that of g: a homomorphism sends g^ord(g) = e to
+    u^ord(g) = e, so extend_hom would reject every other u.  Enumeration
+    order follows the candidate list, so the output is deterministic.  The
+    search recurses once per generator; too many generators for the
+    interpreter's stack raise CapExceeded.
     """
     require_recursion_depth(len(gens), "extension search over %d generators" % len(gens))
     candidate_set = set(candidates)
+    order = {p: perm_order(p) for p in (*gens, *candidates)}
 
     def rec(
         i: int, pairs: list[tuple[Perm, Perm]], hom: dict[Perm, Perm]
@@ -344,6 +369,8 @@ def _extension_search(
                 yield from rec(i + 1, pairs, hom)
             return
         for u in candidates:
+            if order[g] % order[u]:
+                continue
             pairs2 = pairs + [(g, u)]
             hom2 = extend_hom(pairs2, domain_degree, image_degree)
             if hom2 is not None:
@@ -355,7 +382,9 @@ def _extension_search(
 
 
 def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm]]:
-    """All group homomorphisms src -> tgt, as explicit mapping dicts."""
+    """All group homomorphisms src -> tgt, as explicit mapping dicts, by
+    assigning images of the generators in the target's canonical order;
+    images whose order does not divide the generator's are not tried."""
     gens = list(dict.fromkeys(src.generators))
     out = []
     for hom in _extension_search(gens, tgt.sorted_elements(), src.degree, tgt.degree):
@@ -369,7 +398,9 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
 
     A homomorphism is pinned down by its values on omega since omega
     generates; each consistent assignment inside the target omega is kept
-    when the restriction covers all of it.
+    when the restriction covers all of it.  Only images whose order divides
+    the generator's are tried, which leaves the output and its order as
+    they would be without that cut.
     """
     target_omega = set(tgt.omega)
     out = []

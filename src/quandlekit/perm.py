@@ -209,6 +209,45 @@ def conjugation_stable_under(generators: Iterable[Perm], subset: Iterable[Perm])
     return all(conjugate(g, s) in sset for g in generators for s in sset)
 
 
+def conjugation_basis(members: Sequence[Perm]) -> tuple[list[Perm], bool]:
+    """(basis, stable): a quandle generating set of the members, and whether
+    the members are closed under conjugation by one another.
+
+    The members are taken in order; one that conjugation by the basis has
+    not reached yet joins the basis.  Each pair (basis member, reached
+    member) is conjugated once, |basis| * |members| conjugates at most, and
+    a conjugate outside the members is not reached.  Every reached member
+    lies in the group the basis generates, so the basis generates the same
+    group as the members.  stable is True exactly when every conjugate
+    stays among the members: stability under generators is stability under
+    the group they generate.  No group is closed.
+    """
+    mset = frozenset(members)
+    basis: list[Perm] = []
+    done: list[int] = []  # done[i]: reached members basis[i] has conjugated
+    reached: list[Perm] = []
+    seen: set[Perm] = set()
+    stable = True
+    for m in members:
+        if m in seen:
+            continue
+        basis.append(m)
+        done.append(0)
+        seen.add(m)
+        reached.append(m)
+        while any(d < len(reached) for d in done):
+            for i, b in enumerate(basis):
+                while done[i] < len(reached):
+                    c = conjugate(b, reached[done[i]])
+                    done[i] += 1
+                    if c not in mset:
+                        stable = False
+                    elif c not in seen:
+                        seen.add(c)
+                        reached.append(c)
+    return basis, stable
+
+
 def _rotation(n: int) -> Perm:
     return tuple((i + 1) % n for i in range(n))
 

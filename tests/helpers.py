@@ -100,6 +100,28 @@ def extends_to_hom(gens, images):
     return f
 
 
+def conjugation_stable(gamma):
+    """True when each element of the group gamma generates conjugates each
+    member of gamma into gamma."""
+    return all(
+        tuple(h[g[j]] for j in sorted(range(len(h)), key=h.__getitem__)) in gamma
+        for h in naive_closure(gamma)
+        for g in gamma
+    )
+
+
+def brute_force_surj_morphisms(src, tgt):
+    """The values on the source omega, in omega order, of every surjective
+    pair morphism src -> tgt: every map of the source omega into the target
+    omega, tried in lexicographic order of the target omega, kept when it
+    extends to a homomorphism and covers the target omega."""
+    out = []
+    for images in itertools.product(tgt.omega, repeat=len(src.omega)):
+        if set(images) == set(tgt.omega) and extends_to_hom(src.omega, images) is not None:
+            out.append(images)
+    return out
+
+
 def brute_force_star_morphisms(src, tgt):
     """Every star morphism src -> tgt, each as (domain elements, subset,
     projection on the whole domain), found by trying each subset of the
@@ -108,14 +130,9 @@ def brute_force_star_morphisms(src, tgt):
     into itself, and a bijection when it extends to a homomorphism."""
     out = set()
     for gamma in itertools.combinations(tgt.omega, len(src.omega)):
-        domain = naive_closure(gamma)
-        stable = all(
-            tuple(h[g[j]] for j in sorted(range(len(h)), key=h.__getitem__)) in gamma
-            for h in domain
-            for g in gamma
-        )
-        if not stable:
+        if not conjugation_stable(gamma):
             continue
+        domain = naive_closure(gamma)
         for images in itertools.permutations(src.omega):
             f = extends_to_hom(gamma, images)
             if f is not None:

@@ -321,3 +321,17 @@ def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["homs", "only-one-arg"])
     assert exc.value.code == 2
+
+
+# sha256 of verify --json, keyed "<mode> <corpus>", on corpora whose omegas
+# hold elements of order 3 and 4, so that the order prune of the surjective
+# search and the checks' generating sets meet non-involutions.
+GOLDEN_VERIFY_CONJ = json.loads(Path(__file__).with_name("golden_verify_conj.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_VERIFY_CONJ))
+def test_verify_json_on_conjugation_corpora_matches_golden_digest(key, capsys):
+    mode, corpus = key.split(" ")
+    rc, out = run(capsys, "verify", "--corpus", corpus, "--mode", mode, "--json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_CONJ[key]

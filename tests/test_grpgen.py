@@ -33,7 +33,13 @@ from quandlekit import (
 from quandlekit import SurjMorphism, conjugation_quandle, grpgen, is_faithful
 from quandlekit.perm import RECURSION_MARGIN, all_transpositions
 
-from helpers import brute_force_star_morphisms, extends_to_hom, iso_class_representatives
+from helpers import (
+    brute_force_star_morphisms,
+    brute_force_surj_morphisms,
+    conjugation_stable,
+    extends_to_hom,
+    iso_class_representatives,
+)
 
 
 def refl_pair(n):
@@ -124,6 +130,70 @@ def test_morphism_checks_accept_exactly_the_bijections_that_extend():
             assert [line.split(":")[0] for line in surj + star] == ["homomorphism"] * 2
         accepted += extends
     assert accepted == 20
+
+
+def census_pairs():
+    """Inner pairs of the faithful quandles of order <= 4, then R5's."""
+    quandles = [q for n in range(1, 5) for q in iso_class_representatives(n) if is_faithful(q)]
+    return [inn(q) for q in quandles] + [inn(dihedral(5))]
+
+
+def clause_tags(report):
+    return [line.split(":")[0] for line in report]
+
+
+def test_surj_check_extends_exactly_when_the_oracle_does():
+    # every map of one omega into another, bijective or not: the check
+    # extends from a quandle generating set of the source omega and compares
+    # on the rest, which must agree with extending from all of omega
+    pairs = census_pairs()
+    assert any(len(p.omega_basis) < len(p.omega) for p in pairs)
+    seen = rejected = 0
+    for src, tgt in itertools.product(pairs, repeat=2):
+        for images in itertools.product(tgt.omega, repeat=len(src.omega)):
+            report = check_surj_morphism(SurjMorphism(src, tgt, dict(zip(src.omega, images))))
+            extends = extends_to_hom(src.omega, images) is not None
+            assert ("homomorphism" in clause_tags(report)) != extends, (src.omega, images, report)
+            seen += 1
+            rejected += not extends
+    assert seen > rejected > 0
+
+
+def test_star_check_extends_exactly_when_the_oracle_does():
+    # every map of a subset gamma of the target omega, stable or not, into
+    # the source omega, bijective or not; the stability clause agrees with
+    # conjugation by the whole group gamma generates
+    s3 = symmetric_group(3)
+    targets = [inn(dihedral(5)), inn(dihedral(9)), inn(conjugation_quandle(s3, s3.sorted_elements()))]
+    src = inn(dihedral(3))
+    stable_seen = unstable_seen = rejected = 0
+    for tgt in targets:
+        for size in range(1, len(src.omega) + 1):
+            for gamma in itertools.combinations(tgt.omega, size):
+                stable = conjugation_stable(gamma)
+                for images in itertools.product(src.omega, repeat=size):
+                    report = check_star_morphism(StarMorphism(src, tgt, dict(zip(gamma, images))))
+                    tags = clause_tags(report)
+                    extends = extends_to_hom(gamma, images) is not None
+                    assert ("homomorphism" in tags) != extends, (gamma, images, report)
+                    assert ("stability" in tags) != stable, (gamma, report)
+                    rejected += not extends
+                stable_seen += stable
+                unstable_seen += not stable
+    assert stable_seen and unstable_seen and rejected
+
+
+def test_surj_enumeration_matches_the_ordered_brute_force():
+    # the order prune cuts only branches extend_hom would reject, so the
+    # list and its order are those of filtering every map in lexicographic
+    # order; R3 <-> the tetrahedral quandle (order 2 against order 3) is
+    # pruned whole
+    seen = 0
+    for src, tgt in itertools.product(census_pairs(), repeat=2):
+        fast = [tuple(m.mapping[w] for w in src.omega) for m in enumerate_surj_morphisms(src, tgt)]
+        assert fast == brute_force_surj_morphisms(src, tgt), (src.omega, tgt.omega)
+        seen += len(fast)
+    assert seen > 0
 
 
 def test_enumerate_surj_morphisms_r9_to_r3():

@@ -21,9 +21,15 @@ from quandlekit import (
     perm_to_text,
     symmetric_group,
 )
-from quandlekit.perm import centralizer_of_subset_is_trivial, is_conjugation_stable
+from quandlekit import conjugation_quandle, dihedral, inn, perm
+from quandlekit.perm import (
+    centralizer_of_subset_is_trivial,
+    conjugation_basis,
+    conjugation_stable_under,
+    is_conjugation_stable,
+)
 
-from helpers import conjugacy_classes, naive_closure
+from helpers import conjugacy_classes, conjugation_stable, naive_closure
 
 
 def test_compose_applies_right_factor_first():
@@ -247,3 +253,78 @@ def test_sorted_elements_and_index():
     assert elems == sorted(elems)
     for i, p in enumerate(elems):
         assert g.element_index(p) == i
+
+
+def assert_conjugation_basis(members, monkeypatch):
+    """conjugation_basis against the oracles: a subsequence of the members
+    in their order, generating the same group, with the stability flag of
+    conjugation by every member (and by every element of the group they
+    generate), after at most |basis| * |members| conjugates."""
+    calls = []
+    real = perm.conjugate
+
+    def counted(g, s):
+        calls.append(None)
+        return real(g, s)
+
+    with monkeypatch.context() as m:
+        m.setattr(perm, "conjugate", counted)
+        basis, stable = conjugation_basis(members)
+    it = iter(members)
+    assert all(b in it for b in basis)
+    assert naive_closure(basis) == naive_closure(members)
+    assert stable == conjugation_stable_under(members, members) == conjugation_stable(members)
+    assert len(calls) <= len(basis) * len(members)
+    return basis, stable
+
+
+def stable_and_unstable_member_lists(draw):
+    """Distinct permutations of one degree in a random order: either any
+    few of them, usually not conjugation-stable, or a shuffled union of
+    conjugacy classes of a small group, which is."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(min_value=1, max_value=4))
+        perms = st.permutations(range(degree)).map(tuple)
+        return draw(st.lists(perms, min_size=1, max_size=8, unique=True))
+    group = draw(st.sampled_from([symmetric_group(3), dihedral_group(4), symmetric_group(4)]))
+    classes = draw(st.lists(st.sampled_from(conjugacy_classes(group)), min_size=1, unique_by=min))
+    return draw(st.permutations(sorted(set().union(*classes))))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_conjugation_basis_matches_oracles(data):
+    members = data.draw(st.composite(stable_and_unstable_member_lists)())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_conjugation_basis(members, monkeypatch)
+
+
+def test_conjugation_basis_fixed_cases(monkeypatch):
+    t3 = all_transpositions(3)
+    rot = (1, 2, 0)
+    # two transpositions of S3 reach the third; without it they are unstable
+    assert assert_conjugation_basis(t3, monkeypatch) == (t3[:2], True)
+    assert assert_conjugation_basis(t3[:2], monkeypatch) == (t3[:2], False)
+    assert assert_conjugation_basis([rot], monkeypatch) == ([rot], True)
+    # a transposition does not reach the 3-cycle, which joins the basis; it
+    # conjugates the 3-cycle to its inverse, outside the set
+    assert assert_conjugation_basis([t3[0], rot], monkeypatch) == ([t3[0], rot], False)
+    # the first two reflections of R9 reach the third, but the three are
+    # not closed under conjugation
+    refl9 = dihedral_reflections(9)
+    basis, stable = assert_conjugation_basis(refl9[:3], monkeypatch)
+    assert not stable and basis == refl9[:2]
+
+
+@pytest.mark.parametrize("token, size", [("r3", 2), ("r9", 2), ("r81", 2), ("conj:s4", 7), ("conj:s5", 10)])
+def test_conjugation_basis_of_inner_omegas(token, size, monkeypatch):
+    if token.startswith("conj:s"):
+        g = symmetric_group(int(token[len("conj:s"):]))
+        q = conjugation_quandle(g, g.sorted_elements())
+    else:
+        q = dihedral(int(token[1:]))
+    omega = inn(q).omega
+    basis, stable = conjugation_basis(omega)
+    assert stable and len(basis) == size
+    if len(omega) <= 24:
+        assert_conjugation_basis(list(omega), monkeypatch)
