@@ -68,6 +68,8 @@ from .grpgen import (
     identity_surj,
     is_star_isomorphism,
     make_genpair,
+    make_star_morphism,
+    make_surj_morphism,
 )
 from .functors import (
     EquivalenceReport,

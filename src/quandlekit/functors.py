@@ -40,10 +40,13 @@ from .grpgen import (
     identity_star,
     identity_surj,
     is_star_isomorphism,
+    make_star_morphism,
+    make_surj_morphism,
 )
 from .homs import (
     MODE_WORDS,
     QuandleHom,
+    _trusted_hom,
     check_hom,
     compose_homs,
     enumerate_homs,
@@ -80,32 +83,30 @@ F_inj_mor = induced_injective
 
 
 def G_surj_mor(m: SurjMorphism, source_quandle: Quandle, target_quandle: Quandle) -> QuandleHom:
-    """Restrict the group map to omega, reindexed through the canonical points.
+    """Restrict the group map to omega: the stored positions themselves.
 
     Point i of the conjugation quandle on omega is the i-th omega member in
-    canonical order, so the restriction is a plain index translation.  The
-    quandles are to_quandle of m's source and target.  The result is built,
+    canonical order, so the restriction sends point i to m.images[i].  The
+    quandles are to_quandle of m's source and target, and m is valid
+    (check_surj_morphism), so the positions fit them.  The result is built,
     not checked: check_hom checks it.
     """
-    pos2 = m.target.omega_position
-    return QuandleHom(
-        source_quandle, target_quandle, tuple(pos2[m.mapping[w]] for w in m.source.omega)
-    )
+    return _trusted_hom(source_quandle, target_quandle, m.images)
 
 
 def G_inj_mor(m: StarMorphism, source_quandle: Quandle, target_quandle: Quandle) -> QuandleHom:
     """Send each source omega member to the unique subset member above it.
 
     The projection of a valid m restricts to a bijection subset -> source
-    omega, so the reverse direction is a well-defined injective quandle map.
-    The quandles are to_quandle of m's source and target.  The result is
+    omega, so its inverse is a well-defined injective quandle map: the
+    subset's target positions sorted by the source positions they project
+    to, which are each position of the source omega once.  The quandles
+    are to_quandle of m's source and target, and m is valid
+    (check_star_morphism), so the positions fit them.  The result is
     built, not checked: check_hom checks it.
     """
-    back = {v: g for g, v in m.proj.items()}
-    pos2 = m.target.omega_position
-    return QuandleHom(
-        source_quandle, target_quandle, tuple(pos2[back[w]] for w in m.source.omega)
-    )
+    images = m.images
+    return _trusted_hom(source_quandle, target_quandle, tuple(sorted(images, key=images.__getitem__)))
 
 
 def theta(q: Quandle, pair: GenPair) -> QuandleHom:
@@ -138,7 +139,7 @@ def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
     itself.  The result is built, not checked: check_surj_morphism and
     SurjMorphism.is_injective check it.
     """
-    return SurjMorphism(round_trip, p, {s: w for w, s in conjugation_action(p).items()})
+    return make_surj_morphism(round_trip, p, {s: w for w, s in conjugation_action(p).items()})
 
 
 def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
@@ -149,7 +150,7 @@ def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
     group, sending w to the symmetry at w.  The result is built, not
     checked: check_star_morphism and is_star_isomorphism check it.
     """
-    return StarMorphism(round_trip, p, conjugation_action(p))
+    return make_star_morphism(round_trip, p, conjugation_action(p))
 
 
 @dataclass

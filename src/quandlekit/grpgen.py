@@ -10,7 +10,16 @@ it.  Two kinds of structure-preserving maps between pairs show up:
   restriction to gamma is a bijection onto the source omega.
 
 Both are stored as their values on the generators (omega, or gamma), which
-fix them; extend_hom extends such values to the group.  The checks extend
+fix them, and every such value is an omega member.  So they are stored as
+omega positions: a SurjMorphism as one target position per source omega
+member, a StarMorphism as a dict from the target positions of gamma to
+source positions.  Composition chains those integers, and the backward
+functor reads them off, since point i of the conjugation quandle on omega
+is omega member i.  The values as permutations are read-only views
+(SurjMorphism.mapping, StarMorphism.proj), derived on first read.
+Permutations enter through make_surj_morphism and make_star_morphism,
+which refuse values outside omega, and the checks read them: extend_hom
+extends the values to a homomorphism of the group.  The checks extend
 from the values on a quandle generating set of omega or gamma, which
 generates the same group, and compare on the rest.  A star morphism's
 gamma is the set of its projection's keys, and the subgroup gamma
@@ -29,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .perm import (
     DEFAULT_CAP,
@@ -122,24 +132,33 @@ def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
 @dataclass(eq=False)
 class SurjMorphism:
     """A group homomorphism between pairs whose restriction maps omega onto
-    omega, stored as mapping: its values on the source omega, which fix it."""
+    omega, stored as images: its values on the source omega, which fix it,
+    as target omega positions.  images[i] is the position in target.omega
+    of the value at source.omega[i].  mapping is the same values as
+    permutations, source omega member to target omega member, derived on
+    first read.  make_surj_morphism builds one from permutations."""
 
     source: GenPair
     target: GenPair
-    mapping: dict[Perm, Perm]
+    images: tuple[int, ...]
+
+    @cached_property
+    def mapping(self) -> Mapping[Perm, Perm]:
+        lam = self.target.omega
+        return MappingProxyType({w: lam[a] for w, a in zip(self.source.omega, self.images)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurjMorphism):
             return NotImplemented
         return (
-            self.source == other.source
+            self.images == other.images
+            and self.source == other.source
             and self.target == other.target
-            and self.mapping == other.mapping
         )
 
-    def key(self) -> frozenset:
+    def key(self) -> tuple[int, ...]:
         """Hashable canonical form of the values on omega."""
-        return frozenset(self.mapping.items())
+        return self.images
 
     def is_injective(self) -> bool:
         """For a valid morphism: it maps onto the group the target omega
@@ -147,46 +166,73 @@ class SurjMorphism:
         return len(self.source.group) == len(self.target.group)
 
 
+def make_surj_morphism(
+    source: GenPair, target: GenPair, mapping: Mapping[Perm, Perm]
+) -> SurjMorphism:
+    """The SurjMorphism with the given values on the source omega.
+
+    Values the stored positions cannot hold are refused with a ValueError
+    carrying the clause for that defect: "totality:" for a domain other
+    than the source omega, "containment:" for a value outside the target
+    group and "omega containment:" for one outside the target omega.
+    Whether the values extend to a homomorphism covering the target omega
+    is left to check_surj_morphism.
+    """
+    if set(mapping) != set(source.omega):
+        raise ValueError("totality: mapping domain differs from the source omega")
+    values = [mapping[w] for w in source.omega]
+    pos = target.omega_position
+    if not all(v in pos for v in values):
+        if not set(values) <= target.group.elements:
+            raise ValueError("containment: some image lies outside the target group")
+        raise ValueError("omega containment: image of omega leaves the target omega")
+    return SurjMorphism(source, target, tuple([pos[v] for v in values]))
+
+
 def identity_surj(pair: GenPair) -> SurjMorphism:
-    return SurjMorphism(pair, pair, {w: w for w in pair.omega})
+    return SurjMorphism(pair, pair, tuple(range(len(pair.omega))))
 
 
 def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
-    """Composite of m1 then m2.  A value of m1 that is not one of m2's
-    generators raises RuntimeError: the inputs were not valid morphisms."""
+    """Composite of m1 then m2: each of m1's target positions read through
+    m2.  A position that m2 has no value at raises RuntimeError: the inputs
+    were not valid morphisms."""
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
+    outer = m2.images
     try:
-        mapping = {w: m2.mapping[v] for w, v in m1.mapping.items()}
-    except KeyError:
+        images = tuple([outer[i] for i in m1.images])
+    except IndexError:
         raise RuntimeError("a value of the inner morphism leaves the outer one's omega") from None
-    return SurjMorphism(m1.source, m2.target, mapping)
+    return SurjMorphism(m1.source, m2.target, images)
 
 
 def check_surj_morphism(m: SurjMorphism) -> list[str]:
-    """Report of violated clauses; empty means the morphism is valid: its
-    values on omega extend to a homomorphism and cover the target omega.
+    """Report of violated clauses; empty means the morphism is valid: there
+    is a position for each source omega member, each names a target omega
+    member, and those values extend to a homomorphism and cover the target
+    omega.
 
     The homomorphism is extended from the values on the source's
     omega_basis, which generates the group, and compared with the values
     on the rest of omega: they extend exactly when the two agree.
     """
     report: list[str] = []
-    if set(m.mapping) != set(m.source.omega):
+    src, tgt = m.source, m.target
+    if len(m.images) != len(src.omega):
         report.append("totality: mapping domain differs from the source omega")
         return report
-    if not set(m.mapping.values()) <= m.target.group.elements:
-        report.append("containment: some image lies outside the target group")
+    lam = tgt.omega
+    if not all(0 <= a < len(lam) for a in m.images):
+        report.append("omega containment: image of omega leaves the target omega")
         return report
-    pairs = [(q, m.mapping[q]) for q in m.source.omega_basis]
-    hom = extend_hom(pairs, m.source.degree, m.target.degree)
-    if hom is None or any(hom[w] != v for w, v in m.mapping.items()):
+    values = [lam[a] for a in m.images]
+    pos = src.omega_position
+    hom = extend_hom([(q, values[pos[q]]) for q in src.omega_basis], src.degree, tgt.degree)
+    if hom is None or any(hom[w] != v for w, v in zip(src.omega, values)):
         report.append("homomorphism: the values on omega do not extend to a homomorphism")
         return report
-    omega_images = set(m.mapping.values())
-    if not omega_images <= set(m.target.omega):
-        report.append("omega containment: image of omega leaves the target omega")
-    elif omega_images != set(m.target.omega):
+    if len(set(m.images)) != len(lam):
         report.append("omega surjectivity: restriction does not cover target omega")
     return report
 
@@ -195,22 +241,32 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
 class StarMorphism:
     """A backwards-partial morphism between pairs.
 
-    proj holds the values on gamma, a conjugation-stable subset of the
-    target omega, of a homomorphism from the subgroup gamma generates onto
-    the source group: a bijection gamma -> source omega.  gamma is proj's
-    keys, so it is not stored; domain_omega lists it in canonical order,
-    and domain_group is the subgroup it generates, closed on first use.  It
-    lies inside the target group, so a closure bounded by that group's
-    order never raises.
+    Its projection is a homomorphism from the subgroup that gamma, a
+    conjugation-stable subset of the target omega, generates onto the
+    source group, whose values on gamma are a bijection gamma -> source
+    omega.  Those values fix it and are stored as images: the target omega
+    position of each member of gamma, mapped to the source omega position
+    of its value.  gamma is the keys, so it is not stored.  proj is the
+    same values as permutations, domain_omega lists gamma in canonical
+    order, and domain_group is the subgroup it generates; all three are
+    derived on first read.  domain_group lies inside the target group, so
+    a closure bounded by that group's order never raises.
+    make_star_morphism builds one from permutations.
     """
 
     source: GenPair
     target: GenPair
-    proj: dict[Perm, Perm]
+    images: dict[int, int]
+
+    @cached_property
+    def proj(self) -> Mapping[Perm, Perm]:
+        lam, omega = self.target.omega, self.source.omega
+        return MappingProxyType({lam[a]: omega[i] for a, i in self.images.items()})
 
     @cached_property
     def domain_omega(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.proj))
+        lam = self.target.omega
+        return tuple(lam[a] for a in sorted(self.images))
 
     @cached_property
     def domain_group(self) -> PermGroup:
@@ -220,14 +276,14 @@ class StarMorphism:
         if not isinstance(other, StarMorphism):
             return NotImplemented
         return (
-            self.source == other.source
+            self.images == other.images
+            and self.source == other.source
             and self.target == other.target
-            and self.proj == other.proj
         )
 
     def key(self) -> frozenset:
         """Hashable canonical form of the values on gamma."""
-        return frozenset(self.proj.items())
+        return frozenset(self.images.items())
 
     def proj_is_injective(self) -> bool:
         """For a valid morphism: proj maps onto the group the source omega
@@ -235,15 +291,41 @@ class StarMorphism:
         return len(self.domain_group) == len(self.source.group)
 
 
+def make_star_morphism(
+    source: GenPair, target: GenPair, proj: Mapping[Perm, Perm]
+) -> StarMorphism:
+    """The StarMorphism whose projection has the given values on gamma,
+    the set of proj's keys.
+
+    Values the stored positions cannot hold are refused with a ValueError
+    carrying the clause for that defect: "gamma:" for a key outside the
+    target omega, "homomorphism:" for a value outside the source group and
+    "bijectivity:" for one outside the source omega.  Everything else (an
+    empty or unstable gamma, values that do not extend to a homomorphism
+    or are no bijection onto the source omega) is left to
+    check_star_morphism.
+    """
+    lam_pos, pos = target.omega_position, source.omega_position
+    if not all(g in lam_pos for g in proj):
+        raise ValueError("gamma: subset is not contained in the target omega")
+    if not all(v in pos for v in proj.values()):
+        if not set(proj.values()) <= source.group.elements:
+            raise ValueError("homomorphism: proj image leaves the source group")
+        raise ValueError("bijectivity: proj carries the subset outside the source omega")
+    return StarMorphism(source, target, {lam_pos[g]: pos[v] for g, v in proj.items()})
+
+
 def identity_star(pair: GenPair) -> StarMorphism:
-    return StarMorphism(pair, pair, {w: w for w in pair.omega})
+    return StarMorphism(pair, pair, {i: i for i in range(len(pair.omega))})
 
 
 def check_star_morphism(m: StarMorphism) -> list[str]:
     """Report of violated clauses, tagged by which requirement failed; empty
     means the morphism is valid: gamma, the keys of proj, is a
     conjugation-stable subset of the target omega, and proj on it is a
-    bijection onto the source omega that extends to a homomorphism.
+    bijection onto the source omega that extends to a homomorphism.  A key
+    or value that is no omega position is outside the target or source
+    omega.
 
     No group is closed.  One conjugation_basis pass over gamma gives both
     its stability (under the subgroup gamma generates, which is stability
@@ -254,27 +336,25 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     report: list[str] = []
     tgt = m.target
     src = m.source
-    gamma = set(m.proj)
-    if not gamma:
+    lam, omega = tgt.omega, src.omega
+    if not m.images:
         report.append("gamma: empty subset")
         return report
-    if not gamma <= set(tgt.omega):
+    if not all(0 <= a < len(lam) for a in m.images):
         report.append("gamma: subset is not contained in the target omega")
         return report
-    basis, stable = conjugation_basis(sorted(gamma))
+    basis, stable = conjugation_basis([lam[a] for a in sorted(m.images)])
     if not stable:
         report.append("stability: subset is not conjugation-stable in the domain group")
-    if not set(m.proj.values()) <= src.group.elements:
-        report.append("homomorphism: proj image leaves the source group")
+    if not all(0 <= i < len(omega) for i in m.images.values()):
+        report.append("bijectivity: proj carries the subset outside the source omega")
         return report
-    hom = extend_hom([(g, m.proj[g]) for g in basis], tgt.degree, src.degree)
-    if hom is None or any(hom[g] != v for g, v in m.proj.items()):
+    proj = {lam[a]: omega[i] for a, i in m.images.items()}
+    hom = extend_hom([(g, proj[g]) for g in basis], tgt.degree, src.degree)
+    if hom is None or any(hom[g] != v for g, v in proj.items()):
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
-    gamma_images = set(m.proj.values())
-    if not gamma_images <= set(src.omega):
-        report.append("bijectivity: proj carries the subset outside the source omega")
-    elif len(gamma_images) != len(gamma) or gamma_images != set(src.omega):
+    if len(m.images) != len(omega) or len(set(m.images.values())) != len(omega):
         report.append("bijectivity: proj is not a bijection subset -> source omega")
     return report
 
@@ -283,24 +363,25 @@ def compose_star(m2: StarMorphism, m1: StarMorphism) -> StarMorphism:
     """Composite of m1 then m2 (written back to front, like functions).
 
     The composite subset is the part of m2's subset projecting into m1's,
-    and the composite projection chains the two on it; no group is closed.
-    The result is built, not checked: check_star_morphism checks it.  An
-    empty composite subset raises RuntimeError, since it means the inputs
-    were not valid morphisms.
+    and the composite projection chains the two on it, position by
+    position; no group is closed.  The result is built, not checked:
+    check_star_morphism checks it.  An empty composite subset raises
+    RuntimeError, since it means the inputs were not valid morphisms.
     """
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
-    proj = {g: m1.proj[v] for g, v in m2.proj.items() if v in m1.proj}
-    if not proj:
+    inner = m1.images
+    images = {g: inner[v] for g, v in m2.images.items() if v in inner}
+    if not images:
         raise RuntimeError("composite subset is empty; inputs were not valid")
-    return StarMorphism(m1.source, m2.target, proj)
+    return StarMorphism(m1.source, m2.target, images)
 
 
 def is_star_isomorphism(m: StarMorphism) -> bool:
     """True when a valid m is invertible: its subset is the whole target
     omega, so its domain is the whole target group, and proj is injective,
     so the two groups have the same order.  No group is closed."""
-    return set(m.proj) == set(m.target.omega) and len(m.source.group) == len(m.target.group)
+    return len(m.images) == len(m.target.omega) and len(m.source.group) == len(m.target.group)
 
 
 def extend_hom(
@@ -402,14 +483,14 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
     the generator's are tried, which leaves the output and its order as
     they would be without that cut.
     """
-    target_omega = set(tgt.omega)
+    pos = tgt.omega_position
     out = []
     for hom in _extension_search(list(src.omega), list(tgt.omega), src.degree, tgt.degree):
-        mapping = {w: hom[w] for w in src.omega}
-        if set(mapping.values()) != target_omega:
+        images = tuple([pos[hom[w]] for w in src.omega])
+        if len(set(images)) != len(pos):
             continue
         assert set(hom) == src.group.elements
-        out.append(SurjMorphism(src, tgt, mapping))
+        out.append(SurjMorphism(src, tgt, images))
     return out
 
 
@@ -475,11 +556,10 @@ def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
             pairs = [(lam[sigma[q]], omega[q]) for q in gens]
             hom = extend_hom(pairs, tgt.degree, src.degree)
             if hom is not None:
-                proj = {lam[sigma[x]]: omega[x] for x in range(k)}
-                assert all(hom[g] == v for g, v in proj.items())
+                assert all(hom[lam[sigma[x]]] == omega[x] for x in range(k))
                 gamma = sorted(sigma)
                 key = (gamma, [preimage[a] for a in gamma])
-                found.append((key, StarMorphism(src, tgt, proj)))
+                found.append((key, StarMorphism(src, tgt, {sigma[x]: x for x in range(k)})))
             return
         depth = len(gens) + 1
         require_recursion_depth(depth, "star morphism search over %d generators" % depth)

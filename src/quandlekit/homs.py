@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grpgen import StarMorphism, SurjMorphism
+from .grpgen import StarMorphism, SurjMorphism, make_star_morphism, make_surj_morphism
 from .perm import require_recursion_depth
 from .quandle import GenPair, Quandle, is_faithful
 
@@ -52,14 +52,26 @@ class QuandleHom:
         return len(set(self.mapping)) == self.target.n
 
 
+def _trusted_hom(source: Quandle, target: Quandle, mapping: tuple[int, ...]) -> QuandleHom:
+    """The QuandleHom with this mapping, built without __post_init__'s
+    checks: the caller vouches that mapping is a tuple of source.n values
+    in range(target.n)."""
+    f = object.__new__(QuandleHom)
+    vars(f).update(source=source, target=target, mapping=mapping)
+    return f
+
+
 def identity_hom(q: Quandle) -> QuandleHom:
     return QuandleHom(q, q, tuple(range(q.n)))
 
 
 def compose_homs(f2: QuandleHom, f1: QuandleHom) -> QuandleHom:
+    """f1 then f2.  The values are f2's, so the composite needs no range
+    check."""
     if f1.target != f2.source:
         raise ValueError("homs are not composable")
-    return QuandleHom(f1.source, f2.target, tuple(f2.mapping[v] for v in f1.mapping))
+    outer = f2.mapping
+    return _trusted_hom(f1.source, f2.target, tuple([outer[v] for v in f1.mapping]))
 
 
 def check_hom(f: QuandleHom) -> list[tuple[int, int]]:
@@ -155,7 +167,8 @@ def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
     p1 and p2 are inn() of f's source and target.  The map sends the
     symmetry s_x to s_{f(x)}, the defining equation f s_x = s_{f(x)} f read
     on the generators.  f itself is validated (a ValueError for a non-hom,
-    a non-surjective or an unfaithful one); the result is built, not
+    a non-surjective or an unfaithful one), and so are the values' places
+    in the two omegas (make_surj_morphism); the result is built, not
     checked: check_surj_morphism checks it.
     """
     _require_valid(f)
@@ -163,7 +176,7 @@ def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
     if not f.is_surjective():
         raise ValueError("f is not surjective")
     t1, t2 = f.source.table, f.target.table
-    return SurjMorphism(p1, p2, {t1[y]: t2[v] for y, v in enumerate(f.mapping)})
+    return make_surj_morphism(p1, p2, {t1[y]: t2[v] for y, v in enumerate(f.mapping)})
 
 
 def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
@@ -172,7 +185,8 @@ def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
     p1 and p2 are inn() of f's source and target.  The subset gamma is
     the symmetries at image points, and the projection sends s_{f(y)} back
     to s_y, from f s_y = s_{f(y)} f; those values are the whole morphism,
-    so no group is closed.  f is validated as in induced_surjective; the
+    so no group is closed.  f and the values' places in the two omegas
+    are validated as in induced_surjective (make_star_morphism); the
     result is built, not checked: check_star_morphism checks it.
     """
     _require_valid(f)
@@ -180,7 +194,7 @@ def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
     if not f.is_injective():
         raise ValueError("f is not injective")
     t1, t2 = f.source.table, f.target.table
-    return StarMorphism(p1, p2, {t2[v]: t1[y] for y, v in enumerate(f.mapping)})
+    return make_star_morphism(p1, p2, {t2[v]: t1[y] for y, v in enumerate(f.mapping)})
 
 
 def homs_to_dict(q1: Quandle, q2: Quandle, mode: str, homs: Sequence[QuandleHom]) -> dict:

@@ -49,7 +49,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p after q: result[i] = p[q[i]]."""
     if len(p) != len(q):
         raise ValueError("degree mismatch: %d vs %d" % (len(p), len(q)))
-    return tuple(p[j] for j in q)
+    return tuple([p[j] for j in q])
 
 
 def inverse(p: Perm) -> Perm:

@@ -100,6 +100,41 @@ def extends_to_hom(gens, images):
     return f
 
 
+_EXTENSIONS = {}
+
+
+def extend_values(values):
+    """extends_to_hom of a dict of generator values, remembered per dict
+    content so that a morphism met in many composites is extended once."""
+    key = frozenset(values.items())
+    if key not in _EXTENSIONS:
+        gens = sorted(values)
+        _EXTENSIONS[key] = extends_to_hom(gens, [values[g] for g in gens])
+    return _EXTENSIONS[key]
+
+
+def compose_by_extension(first, second):
+    """first then second, two group maps given by their values on
+    generators (dicts of permutations), composed the slow way: each is
+    extended to the group its generators generate (extend_values), the
+    two group maps are composed where the second is defined, and the
+    composite is restricted to the generators of first that first sends to
+    generators of second.  None when either set of values extends to no
+    homomorphism."""
+    f1, f2 = extend_values(first), extend_values(second)
+    if f1 is None or f2 is None:
+        return None
+    composite = {h: f2[f1[h]] for h in f1 if f1[h] in f2}
+    return {g: composite[g] for g in first if first[g] in second}
+
+
+def as_point_map(values, source_points, target_points):
+    """A map of permutations, given by its values on source_points, as a map
+    of the conjugation quandles whose points are the two lists in order:
+    point i goes to the index of its value in target_points."""
+    return tuple(list(target_points).index(values[w]) for w in source_points)
+
+
 def conjugation_stable(gamma):
     """True when each element of the group gamma generates conjugates each
     member of gamma into gamma."""

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -17,13 +18,17 @@ from quandlekit import (
     check_surj_morphism,
     compose_homs,
     compose_star,
+    compose_surj,
     conjugation_quandle,
     dihedral,
     enumerate_homs,
+    enumerate_star_morphisms,
+    enumerate_surj_morphisms,
     eta_star,
     eta_surj,
     identity_hom,
     inn,
+    is_faithful,
     is_star_isomorphism,
     symmetric_group,
     theta,
@@ -34,6 +39,8 @@ from quandlekit import (
 )
 from quandlekit import functors
 from quandlekit.cli import load_corpus, main
+
+from helpers import as_point_map, compose_by_extension, iso_class_representatives
 
 
 def conj_s3():
@@ -405,14 +412,24 @@ def _then(transform):
     return lambda orig: lambda *args, **kwargs: transform(orig(*args, **kwargs))
 
 
+def _positions(m):
+    """A group-side morphism's stored values as a dict of omega positions."""
+    return dict(m.images) if isinstance(m, StarMorphism) else dict(enumerate(m.images))
+
+
+def _with_positions(m, graph):
+    """m with its stored values replaced by graph (from _positions)."""
+    images = graph if isinstance(m, StarMorphism) else tuple(graph[i] for i in range(len(graph)))
+    return dataclasses.replace(m, images=images)
+
+
 def _corrupted(m):
     # a group-side morphism with its value at one element (not the identity)
     # replaced by another of its values: well formed, not a homomorphism
-    attr = "proj" if isinstance(m, StarMorphism) else "mapping"
-    graph = dict(getattr(m, attr))
+    graph = _positions(m)
     g = max(graph)
     graph[g] = next(v for v in sorted(graph.values()) if v != graph[g])
-    return dataclasses.replace(m, **{attr: graph})
+    return _with_positions(m, graph)
 
 
 def _swapped(f):
@@ -485,9 +502,9 @@ def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, ma
 def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypatch, mode):
     # only the forward images between round trips are corrupted: eta
     # naturality composes them with eta unchecked.  One generator value
-    # becomes the identity, which is no generator; the surjective composite
-    # raises RuntimeError on it and the star composite carries it, and
-    # either way the law is recorded as failing, not raised
+    # becomes a position past omega, which is no generator; the surjective
+    # composite raises RuntimeError on it and the star composite carries
+    # it, and either way the law is recorded as failing, not raised
     pairs = []  # every pair to_pair builds: R5's, then its round trip's
     real_to_pair = functors.to_pair
 
@@ -500,10 +517,10 @@ def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypat
             m = orig(f, source_pair, target_pair)
             if source_pair is not pairs[1]:
                 return m
-            attr, group = ("proj", m.source.group) if mode == "injective" else ("mapping", m.target.group)
-            graph = dict(getattr(m, attr))
-            graph[max(graph)] = group.identity
-            return dataclasses.replace(m, **{attr: graph})
+            values_in = m.source if mode == "injective" else m.target
+            graph = _positions(m)
+            graph[max(graph)] = len(values_in.omega)
+            return _with_positions(m, graph)
 
         return fake
 
@@ -513,3 +530,63 @@ def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypat
     assert [r.check for r in report.failures] == ["eta_naturality"], report.summary()
     if mode == "surjective":
         assert "leaves the outer" in report.failures[0].detail
+
+
+def _assert_trusted(f):
+    # a hom built without __post_init__'s checks equals the validated one
+    assert type(f.mapping) is tuple
+    assert f == QuandleHom(f.source, f.target, f.mapping)
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_compositions_and_backward_maps_match_the_slow_oracle(mode):
+    # every enumerated morphism between the inner pairs of the faithful
+    # quandles of order <= 4, R5 and R9, and every composable pair of them:
+    # the integer composites and backward images agree with composing the
+    # permutation values as group maps and restricting to omega
+    quandles = [q for n in range(1, 5) for q in iso_class_representatives(n) if is_faithful(q)]
+    pairs = [inn(q) for q in [*quandles, dihedral(5), dihedral(9)]]
+    conjs = [to_quandle(p) for p in pairs]
+    if mode == "surjective":
+        enumerate_, compose, backward = enumerate_surj_morphisms, compose_surj, G_surj_mor
+
+        def values(m):
+            return dict(m.mapping)
+
+        def oracle(m2, m1):
+            return compose_by_extension(values(m1), values(m2))
+
+        def points(vals, src, tgt):
+            return as_point_map(vals, src.omega, tgt.omega)
+
+    else:
+        enumerate_, compose, backward = enumerate_star_morphisms, compose_star, G_inj_mor
+
+        def values(m):
+            return dict(m.proj)
+
+        def oracle(m2, m1):
+            return compose_by_extension(values(m2), values(m1))
+
+        def points(vals, src, tgt):
+            return as_point_map({v: g for g, v in vals.items()}, src.omega, tgt.omega)
+
+    homs = {}
+    for i, j in itertools.product(range(len(pairs)), repeat=2):
+        homs[i, j] = [(m, backward(m, conjs[i], conjs[j])) for m in enumerate_(pairs[i], pairs[j])]
+        for m, g in homs[i, j]:
+            assert g.mapping == points(values(m), pairs[i], pairs[j])
+            _assert_trusted(g)
+    seen = 0
+    for i, j, l in itertools.product(range(len(pairs)), repeat=3):
+        for (m1, g1), (m2, g2) in itertools.product(homs[i, j], homs[j, l]):
+            expected = oracle(m2, m1)
+            composite = compose(m2, m1)
+            assert values(composite) == expected
+            g = backward(composite, conjs[i], conjs[l])
+            h = compose_homs(g2, g1)
+            assert g.mapping == h.mapping == points(expected, pairs[i], pairs[l])
+            _assert_trusted(g)
+            _assert_trusted(h)
+            seen += 1
+    assert seen > 1000

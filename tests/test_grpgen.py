@@ -28,6 +28,8 @@ from quandlekit import (
     inverse,
     is_star_isomorphism,
     make_genpair,
+    make_star_morphism,
+    make_surj_morphism,
     symmetric_group,
 )
 from quandlekit import SurjMorphism, conjugation_quandle, grpgen, is_faithful
@@ -106,12 +108,83 @@ def test_surj_morphism_check_and_identity():
 
 
 def test_surj_morphism_rejects_broken_maps():
-    from quandlekit import SurjMorphism
-
+    # values off the target omega: the constructor from values refuses the
+    # identity, and the check reports a position past the target omega
     p9, p3 = refl_pair(9), refl_pair(3)
     mapping = {w: p3.group.identity for w in p9.omega}
-    clauses = check_surj_morphism(SurjMorphism(p9, p3, mapping))
-    assert any("omega" in c for c in clauses)
+    with pytest.raises(ValueError, match="omega containment: image of omega leaves the target omega"):
+        make_surj_morphism(p9, p3, mapping)
+    clauses = check_surj_morphism(SurjMorphism(p9, p3, (len(p3.omega),) * len(p9.omega)))
+    assert clauses == ["omega containment: image of omega leaves the target omega"]
+
+
+def test_constructors_from_values_refuse_what_positions_cannot_hold():
+    # each value the omega positions cannot hold is refused with the clause
+    # the check names it by; every other value is stored as positions
+    p3, p9 = refl_pair(3), refl_pair(9)
+    e3, r9 = p3.group.identity, p9.omega[0]
+    for mapping, clause in (
+        ({p3.omega[0]: p3.omega[0]}, "totality: mapping domain differs from the source omega"),
+        ({**identity_surj(p3).mapping, (0, 1, 2, 3): e3}, "totality: mapping domain differs"),
+        ({w: r9 for w in p3.omega}, "containment: some image lies outside the target group"),
+        ({w: e3 for w in p3.omega}, "omega containment: image of omega leaves the target omega"),
+    ):
+        with pytest.raises(ValueError, match="^" + clause):
+            make_surj_morphism(p3, p3, mapping)
+    for proj, clause in (
+        ({p9.group.identity: p3.omega[0]}, "gamma: subset is not contained in the target omega"),
+        ({r9: r9}, "homomorphism: proj image leaves the source group"),
+        ({r9: e3}, "bijectivity: proj carries the subset outside the source omega"),
+    ):
+        with pytest.raises(ValueError, match="^" + clause + "$"):
+            make_star_morphism(p3, p9, proj)
+    # an empty projection is held, and the check reports it
+    assert check_star_morphism(make_star_morphism(p3, p9, {})) == ["gamma: empty subset"]
+    for m in enumerate_surj_morphisms(p9, p3) + enumerate_surj_morphisms(p3, p3):
+        assert make_surj_morphism(m.source, m.target, m.mapping) == m
+    for m in enumerate_star_morphisms(p3, p9) + enumerate_star_morphisms(p3, p3):
+        assert make_star_morphism(m.source, m.target, m.proj) == m
+
+
+def test_checks_report_positions_outside_omega():
+    # the clauses the positions can still break: a missing or surplus
+    # position and one that names no omega member, checked before values
+    # that extend to no homomorphism or miss part of the target omega
+    p3, p9 = refl_pair(3), refl_pair(9)
+    for images, clause in (
+        ((0, 1), "totality: mapping domain differs from the source omega"),
+        ((0, 1, 2, 0), "totality: mapping domain differs from the source omega"),
+        ((0, 1, 3), "omega containment: image of omega leaves the target omega"),
+        ((0, 1, -1), "omega containment: image of omega leaves the target omega"),
+        ((0, 0, 1), "homomorphism: the values on omega do not extend to a homomorphism"),
+        ((0, 0, 0), "omega surjectivity: restriction does not cover target omega"),
+    ):
+        assert check_surj_morphism(SurjMorphism(p3, p3, images)) == [clause]
+    m = enumerate_star_morphisms(p3, p9)[0]
+    a = min(m.images)
+    for images, clause in (
+        ({**m.images, 9: 0}, "gamma: subset is not contained in the target omega"),
+        ({**m.images, -1: 0}, "gamma: subset is not contained in the target omega"),
+        ({**m.images, a: 3}, "bijectivity: proj carries the subset outside the source omega"),
+        ({**m.images, a: -1}, "bijectivity: proj carries the subset outside the source omega"),
+    ):
+        assert check_star_morphism(StarMorphism(p3, p9, images)) == [clause]
+
+
+def test_permutation_views_are_derived_read_only_and_keys_are_positions():
+    p3, p9 = refl_pair(3), refl_pair(9)
+    surj = enumerate_surj_morphisms(p9, p3)[0]
+    assert surj.mapping == {w: p3.omega[a] for w, a in zip(p9.omega, surj.images)}
+    assert surj.mapping is surj.mapping and surj.key() == surj.images
+    star = enumerate_star_morphisms(p3, p9)[0]
+    assert star.proj == {p9.omega[a]: p3.omega[i] for a, i in star.images.items()}
+    assert star.proj is star.proj and star.key() == frozenset(star.images.items())
+    assert star.domain_omega == tuple(p9.omega[a] for a in sorted(star.images))
+    for view in (surj.mapping, star.proj):
+        with pytest.raises(TypeError):
+            view[next(iter(view))] = p3.group.identity
+    assert identity_surj(p3).images == (0, 1, 2)
+    assert identity_star(p3).images == {0: 0, 1: 1, 2: 2}
 
 
 def test_morphism_checks_accept_exactly_the_bijections_that_extend():
@@ -123,8 +196,8 @@ def test_morphism_checks_accept_exactly_the_bijections_that_extend():
     for images in itertools.permutations(p.omega):
         extends = extends_to_hom(p.omega, images) is not None
         values = dict(zip(p.omega, images))
-        surj = check_surj_morphism(SurjMorphism(p, p, values))
-        star = check_star_morphism(StarMorphism(p, p, values))
+        surj = check_surj_morphism(make_surj_morphism(p, p, values))
+        star = check_star_morphism(make_star_morphism(p, p, values))
         assert (surj == []) == extends and (star == []) == extends, (surj, star)
         if not extends:
             assert [line.split(":")[0] for line in surj + star] == ["homomorphism"] * 2
@@ -151,7 +224,7 @@ def test_surj_check_extends_exactly_when_the_oracle_does():
     seen = rejected = 0
     for src, tgt in itertools.product(pairs, repeat=2):
         for images in itertools.product(tgt.omega, repeat=len(src.omega)):
-            report = check_surj_morphism(SurjMorphism(src, tgt, dict(zip(src.omega, images))))
+            report = check_surj_morphism(make_surj_morphism(src, tgt, dict(zip(src.omega, images))))
             extends = extends_to_hom(src.omega, images) is not None
             assert ("homomorphism" in clause_tags(report)) != extends, (src.omega, images, report)
             seen += 1
@@ -172,7 +245,7 @@ def test_star_check_extends_exactly_when_the_oracle_does():
             for gamma in itertools.combinations(tgt.omega, size):
                 stable = conjugation_stable(gamma)
                 for images in itertools.product(src.omega, repeat=size):
-                    report = check_star_morphism(StarMorphism(src, tgt, dict(zip(gamma, images))))
+                    report = check_star_morphism(make_star_morphism(src, tgt, dict(zip(gamma, images))))
                     tags = clause_tags(report)
                     extends = extends_to_hom(gamma, images) is not None
                     assert ("homomorphism" in tags) != extends, (gamma, images, report)
@@ -217,11 +290,12 @@ def test_compose_surj():
 
 
 def test_compositions_raise_runtime_error_on_invalid_inputs():
-    # a value that is not one of the outer morphism's generators means an
-    # input was not valid: RuntimeError, which verify_equivalence records
+    # a value that is not one of the outer morphism's generators (here a
+    # position past its omega) means an input was not valid: RuntimeError,
+    # which verify_equivalence records
     p = refl_pair(3)
     ident = identity_surj(p)
-    off = SurjMorphism(p, p, {**ident.mapping, p.omega[0]: p.group.identity})
+    off = SurjMorphism(p, p, (len(p.omega),) + ident.images[1:])
     with pytest.raises(RuntimeError, match="leaves the outer"):
         compose_surj(ident, off)
 
@@ -237,7 +311,7 @@ def test_star_check_rejects_unstable_gamma():
     p3, p9 = refl_pair(3), refl_pair(9)
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])  # conjugation closure fails: 2*1-2 = 0 but 2*2-1 = 3
-    m = StarMorphism(p3, p9, {g: p3.group.identity for g in gamma})
+    m = StarMorphism(p3, p9, {p9.omega_position[g]: 0 for g in gamma})
     clauses = check_star_morphism(m)
     assert any("stab" in c or "conj" in c for c in clauses)
 
@@ -310,7 +384,7 @@ def test_star_composition_with_isomorphism_transports_structure():
     phi0 = enumerate_star_morphisms(p3, p9)[0]
     r = tuple((i + 1) % 9 for i in range(9))
     rinv = inverse(r)
-    iso = StarMorphism(p9, p9, {w: compose(compose(rinv, w), r) for w in p9.omega})
+    iso = make_star_morphism(p9, p9, {w: compose(compose(rinv, w), r) for w in p9.omega})
     assert check_star_morphism(iso) == []
     assert is_star_isomorphism(iso)
     comp = compose_star(iso, phi0)
@@ -332,7 +406,7 @@ def test_bijective_surj_morphisms_have_explicit_inverses():
     # omega generates, so an endomorphism covering omega is an automorphism
     assert endos and all(m.is_injective() for m in endos)
     for m in endos:
-        inv = SurjMorphism(p3, p3, {v: k for k, v in m.mapping.items()})
+        inv = make_surj_morphism(p3, p3, {v: k for k, v in m.mapping.items()})
         assert check_surj_morphism(inv) == [] and inv.is_injective()
         assert compose_surj(inv, m) == identity_surj(p3)
         assert compose_surj(m, inv) == identity_surj(p3)
@@ -354,7 +428,7 @@ def test_non_injective_projection_star_morphism():
     for omega in (s6.sorted_elements(),
                   [p for p in s6.sorted_elements() if p != s6.identity]):
         tgt = make_genpair(s6, omega)
-        m = StarMorphism(src, tgt, proj)
+        m = make_star_morphism(src, tgt, proj)
         assert check_star_morphism(m) == []
         assert len(m.domain_group) == 18
         assert not m.proj_is_injective()
@@ -491,7 +565,7 @@ def test_star_check_and_composition_close_no_group(monkeypatch):
     p3, p9 = refl_pair(3), refl_pair(9)
     ms = enumerate_star_morphisms(p3, p9)
     endos = enumerate_star_morphisms(p3, p3)
-    bad = StarMorphism(p3, p9, {g: p3.group.identity for g in dihedral_reflections(9)[:3]})
+    bad = StarMorphism(p3, p9, {p9.omega_position[g]: 0 for g in dihedral_reflections(9)[:3]})
     calls = counted_closures(monkeypatch)
     comps = [compose_star(m, e) for m in ms for e in endos]
     comps += [compose_star(identity_star(p9), m) for m in ms]
@@ -531,18 +605,26 @@ def test_star_check_reports_each_one_field_variant():
     m = enumerate_star_morphisms(p3, p9)[0]
     assert check_star_morphism(m) == []
 
-    h = m.domain_omega[0]
-    other = next(x for x in p3.group.sorted_elements() if x != m.proj[h])
-    bad_proj = StarMorphism(p3, p9, {**m.proj, h: other})
+    # the value at the first member of gamma moved to another source omega
+    # position; the identity instead is refused by the constructor from
+    # values, since it is no omega member
+    h = min(m.images)
+    bad_proj = StarMorphism(p3, p9, {**m.images, h: (m.images[h] + 1) % len(p3.omega)})
+    with pytest.raises(ValueError, match="bijectivity: proj carries the subset outside the source omega"):
+        make_star_morphism(p3, p9, {**m.proj, p9.omega[h]: p3.group.identity})
     s3 = dihedral_group(3)
-    bad_source = StarMorphism(
+    bad_source = make_star_morphism(
         make_genpair(s3, [x for x in s3.sorted_elements() if x != s3.identity]), p9, m.proj
     )
-    # a target with another omega, which leaves out the subset
+    # a target with another omega, which leaves out the subset: its two
+    # positions cannot hold three distinct members of gamma, and the
+    # constructor from values refuses the subset
     rotation = tuple((i + 1) % 9 for i in range(9))
     outside = next(x for x in dihedral_reflections(9) if x not in m.domain_omega)
     tgt = make_genpair(dihedral_group(9), [rotation, outside])
-    bad_target = StarMorphism(p3, tgt, m.proj)
+    bad_target = StarMorphism(p3, tgt, m.images)
+    with pytest.raises(ValueError, match="gamma: subset is not contained in the target omega"):
+        make_star_morphism(p3, tgt, m.proj)
 
     for bad, clause in (
         (bad_proj, "homomorphism:"),
@@ -558,7 +640,7 @@ def test_star_check_failing_report_is_stable():
     p3, p9 = refl_pair(3), refl_pair(9)
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])
-    m = StarMorphism(p3, p9, {g: p3.group.identity for g in gamma})
+    m = StarMorphism(p3, p9, {p9.omega_position[g]: 0 for g in gamma})
     first = check_star_morphism(m)
     assert first
     assert check_star_morphism(m) == first
