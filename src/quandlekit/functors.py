@@ -410,7 +410,8 @@ def verify_equivalence(
                 zip(q_homs[i, j], f_mapped[i, j]), zip(q_homs[j, l], f_mapped[j, l])
             ):
                 # an (i, l) enumeration that failed leaves every composite missing
-                expected = f_by_mapping.get((i, l), {}).get(compose_homs(f2, f1).mapping)
+                composite = tuple([f2.mapping[v] for v in f1.mapping])
+                expected = f_by_mapping.get((i, l), {}).get(composite)
                 if expected is None:
                     detail = "composite hom missing from enumeration"
                     break

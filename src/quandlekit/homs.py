@@ -57,7 +57,12 @@ def _trusted_hom(source: Quandle, target: Quandle, mapping: tuple[int, ...]) -> 
     checks: the caller vouches that mapping is a tuple of source.n values
     in range(target.n)."""
     f = object.__new__(QuandleHom)
-    vars(f).update(source=source, target=target, mapping=mapping)
+    # one attribute at a time, in field order: a dict filled by update()
+    # loses the key sharing that instances built by __init__ have, and
+    # takes about 140 bytes more per hom
+    object.__setattr__(f, "source", source)
+    object.__setattr__(f, "target", target)
+    object.__setattr__(f, "mapping", mapping)
     return f
 
 
@@ -87,65 +92,138 @@ def check_hom(f: QuandleHom) -> list[tuple[int, int]]:
     return bad
 
 
+def _generator_blocks(t1: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """A generating set taken greedily, with the points each generator adds.
+
+    Each generator is the smallest point that the |>-closure of the earlier
+    ones does not reach; its block lists, in the order they are reached,
+    the points its addition brings into the closure, each as (z, x, y) with
+    x |> y = z and x, y reached before z.  The table need not be a quandle:
+    closure here is closure under |> alone.
+    """
+    n = len(t1)
+    reached = [False] * n
+    order: list[int] = []
+    blocks = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        reached[g] = True
+        i = len(order)
+        order.append(g)
+        block = []
+        # every pair with a newly reached member is combined once, both ways
+        while i < len(order):
+            a = order[i]
+            for b in order[: i + 1]:
+                for x, y in ((a, b), (b, a)):
+                    z = t1[x][y]
+                    if not reached[z]:
+                        reached[z] = True
+                        order.append(z)
+                        block.append((z, x, y))
+            i += 1
+        blocks.append((g, block))
+    return blocks
+
+
 def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleHom]:
     """Every homomorphism q1 -> q2, in lexicographic order of the map arrays.
 
-    Backtracking assigns images point by point; an equivariance instance is
-    checked as soon as all three of its points have images.  A point k that
-    some instance x |> y = k with x, y < k produces is forced: its only
-    possible image is img[x] |> img[y], so that one value is tried instead
-    of every target point (any other value fails that instance).  The rule
-    reads only the tables, so it holds for tables that are not quandles
-    too.  The forced value still goes through every check below, and the
-    output order is unchanged.  Modes "injective" and "surjective" add the
-    obvious pruning.  The search recurses once per source point, so a
-    source too large for the interpreter's stack raises CapExceeded.
+    A homomorphism is fixed by its values on a generating set, so the
+    search branches only on generators (_generator_blocks).  After a
+    generator is given a value, the points of its closure block follow in
+    a flat loop: a point z reached as x |> y = z can only take the value
+    img[x] |> img[y], since any other value fails that instance.  Every
+    equivariance instance (x, y) is checked as soon as the last of x, y
+    and x |> y is placed, so all n1 * n1 instances hold on each result, on
+    tables that are not quandles too.  Modes "injective" and "surjective"
+    add the obvious pruning at every placement.
+
+    Every point smaller than a generator lies in the closure of the
+    generators before it, so the map arrays compare as the tuples of
+    generator values do; trying each generator's values in ascending order
+    therefore emits the homs in lexicographic order without a sort.  The
+    search recurses once per generator (2 for any R_n, n for a trivial
+    quandle), so a generating set too large for the interpreter's stack
+    raises CapExceeded.
     """
     if mode not in MODE_WORDS.values():
         raise ValueError("mode must be all, injective or surjective")
     n1, n2 = q1.n, q2.n
     if mode == "injective" and n2 < n1:
         return []
-    require_recursion_depth(n1, "hom enumeration from a %d-point quandle" % n1)
     t1, t2 = q1.table, q2.table
-    # checks[k] lists the (x, y) whose equivariance instance closes at point k
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n1)]
-    # forced[k] is one (x, y) with x, y < k and x |> y = k, if there is one
-    forced: list[tuple[int, int] | None] = [None] * n1
+    blocks = _generator_blocks(t1)
+    require_recursion_depth(len(blocks), "hom enumeration from a %d-point quandle" % n1)
+    # placement order, and for each placed point the instances (x, y, x |> y)
+    # whose last point it is
+    order = [p for g, block in blocks for p in (g, *(z for z, _, _ in block))]
+    position = [0] * n1
+    for k, p in enumerate(order):
+        position[p] = k
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
     for x in range(n1):
         for y in range(n1):
             z = t1[x][y]
-            checks[max(x, y, z)].append((x, y))
-            if x < z and y < z and forced[z] is None:
-                forced[z] = (x, y)
+            checks[max(position[x], position[y], position[z])].append((x, y, z))
+    # per generator: the generator, its slack and checks, and one step
+    # (point, x, y, slack, checks) per point of its block, whose forced value
+    # is x |> y; slack is the number of points placed after a point, which
+    # the surjective pruning reads
+    plan = []
+    for g, block in blocks:
+        steps = [(z, x, y, n1 - 1 - position[z], checks[position[z]]) for z, x, y in block]
+        plan.append((g, n1 - 1 - position[g], checks[position[g]], steps))
     injective = mode == "injective"
     surjective = mode == "surjective"
     out: list[QuandleHom] = []
     img: list[int] = [0] * n1
-    used = [0] * n2  # multiplicity of each target value among assigned points
+    used = [0] * n2  # multiplicity of each target value among placed points
 
-    def extend(k: int, distinct: int) -> None:
-        if k == n1:
-            out.append(QuandleHom(q1, q2, tuple(img)))
+    def extend(level: int, distinct: int) -> None:
+        if level == len(plan):
+            out.append(_trusted_hom(q1, q2, tuple(img)))
             return
-        pin = forced[k]
-        for v in range(n2) if pin is None else (t2[img[pin[0]]][img[pin[1]]],):
+        g, slack, gen_checks, steps = plan[level]
+        for v in range(n2):
             if injective and used[v]:
                 continue
-            img[k] = v
             d = distinct + (used[v] == 0)
-            if surjective and (n2 - d) > (n1 - k - 1):
+            if surjective and n2 - d > slack:
                 continue
+            img[g] = v
             ok = True
-            for x, y in checks[k]:
-                if img[t1[x][y]] != t2[img[x]][img[y]]:
+            for x, y, z in gen_checks:
+                if img[z] != t2[img[x]][img[y]]:
                     ok = False
                     break
             if not ok:
                 continue
             used[v] += 1
-            extend(k + 1, d)
-            used[v] -= 1
+            placed = [v]
+            for p, x, y, p_slack, p_checks in steps:
+                w = t2[img[x]][img[y]]
+                if injective and used[w]:
+                    ok = False
+                    break
+                d += used[w] == 0
+                if surjective and n2 - d > p_slack:
+                    ok = False
+                    break
+                img[p] = w
+                for a, b, c in p_checks:
+                    if img[c] != t2[img[a]][img[b]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+                used[w] += 1
+                placed.append(w)
+            if ok:
+                extend(level + 1, d)
+            for w in placed:
+                used[w] -= 1
 
     extend(0, 0)
     return out

@@ -302,6 +302,18 @@ def test_homs_too_deep_for_the_stack_exits_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_homs_recursion_depth_counts_generators_not_points(tmp_path, capsys, monkeypatch):
+    # R27 has 27 points but is generated by two, so its search recurses
+    # twice and fits a stack far smaller than its point count
+    r27 = tmp_path / "r27.quandle"
+    assert main(["make", "dihedral", "27", "--out", str(r27)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: RECURSION_MARGIN + 20)
+    assert main(["homs", str(r27), str(r27), "--json"]) == 0
+    # the affine maps x -> a x + b of Z/27
+    assert json.loads(capsys.readouterr().out)["count"] == 27 * 27
+
+
 def test_verify_rejects_empty_corpus(capsys):
     assert main(["verify", "--corpus", " , "]) == 2
     capsys.readouterr()

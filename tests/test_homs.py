@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from quandlekit import (
     Quandle,
     QuandleHom,
+    alexander_quandle,
     check_hom,
     check_star_morphism,
     check_surj_morphism,
@@ -28,7 +30,7 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
-from quandlekit import grpgen
+from quandlekit import grpgen, homs
 from quandlekit.quandle import is_faithful
 
 from helpers import brute_force_homs, hom_mappings, induced_by_words, iso_class_representatives
@@ -116,6 +118,32 @@ def test_enumeration_matches_brute_force_on_arbitrary_tables(q1, q2, mode):
     # an instance x |> y = k must not rely on the axioms
     fast = [f.mapping for f in enumerate_homs(q1, q2, mode)]
     assert fast == brute_force_homs(q1, q2, mode)
+
+
+def _relabelled(q, seed):
+    """q with point x renamed perm[x], for a seeded permutation perm."""
+    perm = list(range(q.n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * q.n for _ in range(q.n)]
+    for x in range(q.n):
+        for y in range(q.n):
+            table[perm[x]][perm[y]] = perm[q.table[x][y]]
+    return Quandle(table)
+
+
+def test_enumeration_order_matches_brute_force_when_closure_order_departs_from_index_order():
+    # the search places points in the order the generators' closures reach
+    # them; the output must still come in lexicographic order of the arrays
+    s3 = symmetric_group(3)
+    bases = [dihedral(5), conjugation_quandle(s3, s3.sorted_elements()), alexander_quandle([5], [[2]])]
+    quandles = [_relabelled(q, seed) for seed, q in enumerate(bases, start=1)]
+    for q in quandles:
+        order = [p for g, block in homs._generator_blocks(q.table) for p in (g, *(z for z, _, _ in block))]
+        assert sorted(order) == list(range(q.n)) and order != sorted(order)
+    for q1, q2 in itertools.product(quandles, repeat=2):
+        for mode in ("all", "injective", "surjective"):
+            fast = [f.mapping for f in enumerate_homs(q1, q2, mode)]
+            assert fast == brute_force_homs(q1, q2, mode), (q1.table, q2.table, mode)
 
 
 def test_trivial_quandle_hom_count():
