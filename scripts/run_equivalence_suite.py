@@ -9,7 +9,7 @@ import sys
 import time
 
 from quandlekit.cli import MODE_WORDS, load_corpus
-from quandlekit import verify_equivalence
+from quandlekit import CapExceeded, verify_equivalence
 
 
 def main() -> None:
@@ -30,7 +30,11 @@ def main() -> None:
     failures = 0
     for mode in modes:
         t0 = time.perf_counter()
-        report = verify_equivalence(corpus, mode, names=tokens)
+        try:
+            report = verify_equivalence(corpus, mode, names=tokens)
+        except (ValueError, CapExceeded) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            sys.exit(2)
         elapsed = time.perf_counter() - t0
         print("== mode %s (%.1fs) ==" % (mode, elapsed))
         for record in report.records:

@@ -54,8 +54,8 @@ from .homs import (
     induced_injective,
     induced_surjective,
 )
-from .perm import DEFAULT_CAP, Perm, conjugate
-from .quandle import Quandle, conjugation_quandle, inn, is_faithful
+from .perm import DEFAULT_CAP
+from .quandle import Quandle, inn, is_faithful, quandle_of_conjugation_table
 
 
 def to_pair(q: Quandle, cap: int = DEFAULT_CAP) -> GenPair:
@@ -70,11 +70,9 @@ def to_pair(q: Quandle, cap: int = DEFAULT_CAP) -> GenPair:
 
 def to_quandle(p: GenPair) -> Quandle:
     """Object map of both backward functors: the conjugation quandle on omega."""
-    if not p.conj_stable:
-        raise ValueError("omega is not conjugation-stable in the group")
     if not p.faithful:
         raise ValueError("omega has a non-trivial centralizer")
-    return conjugation_quandle(p.group, p.omega)
+    return quandle_of_conjugation_table(p.conj_table)
 
 
 # F on morphisms is the group map a homomorphism induces.
@@ -122,24 +120,15 @@ def theta(q: Quandle, pair: GenPair) -> QuandleHom:
     return QuandleHom(to_quandle(pair), q, tuple(back[w] for w in pair.omega))
 
 
-def conjugation_action(p: GenPair) -> dict[Perm, Perm]:
-    """For each omega member w, the permutation of omega points induced by
-    conjugation with w: the symmetry at w of the conjugation quandle on
-    omega.  On a faithful pair these values fix a group isomorphism onto
-    that quandle's inner group (not checked here)."""
-    pos = p.omega_position
-    return {w: tuple(pos[conjugate(w, v)] for v in p.omega) for w in p.omega}
-
-
 def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
     """The round-trip isomorphism on the pair side, surjective flavor.
 
     round_trip is to_pair(to_quandle(p)).  The map sends its inner group
-    back onto the original group: the symmetry at omega point w goes to w
-    itself.  The result is built, not checked: check_surj_morphism and
-    SurjMorphism.is_injective check it.
+    back onto the original group: the symmetry at omega point w, w's row
+    of p.conj_table, goes to w.  The result is built, not checked:
+    check_surj_morphism and SurjMorphism.is_injective check it.
     """
-    return make_surj_morphism(round_trip, p, {s: w for w, s in conjugation_action(p).items()})
+    return make_surj_morphism(round_trip, p, dict(zip(p.conj_table.rows, p.omega)))
 
 
 def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
@@ -147,10 +136,10 @@ def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
 
     round_trip is to_pair(to_quandle(p)).  The subset is the whole of p's
     omega and the projection is the conjugation action onto round_trip's
-    group, sending w to the symmetry at w.  The result is built, not
-    checked: check_star_morphism and is_star_isomorphism check it.
+    group: w goes to its row of p.conj_table, the symmetry at w.  Built,
+    not checked: check_star_morphism and is_star_isomorphism check it.
     """
-    return make_star_morphism(round_trip, p, conjugation_action(p))
+    return make_star_morphism(round_trip, p, dict(zip(p.omega, p.conj_table.rows)))
 
 
 @dataclass

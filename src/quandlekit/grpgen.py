@@ -31,7 +31,8 @@ two on it.
 The projection's inverse on gamma is an isomorphism of conjugation
 quandles from the source omega onto gamma, so enumerate_star_morphisms
 searches those isomorphisms from their values on a quandle generating set
-of the source omega; no subset of the target omega is searched.
+of the source omega; no subset of the target omega is searched.  It and
+the checks read conjugates of omega members from GenPair.conj_table.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ from .perm import (
     close_group,
     compose,
     centralizer_of_subset_is_trivial,
-    conjugate,
+    ConjugationTable,
     conjugation_basis,
+    conjugation_stable_under,
     group_from_lines,
     group_to_lines,
     identity,
-    is_conjugation_stable,
     perm_order,
     require_recursion_depth,
 )
@@ -69,14 +70,15 @@ class GenPair:
 
     omega is kept in canonical (lexicographic) order.  The constructor
     trusts its arguments; make_genpair validates outside input.
-    conj_stable records whether omega is closed under conjugation by the
-    whole group; faithful records whether only the identity centralizes all
-    of omega; omega_position maps each omega member to its index;
-    omega_basis is a quandle generating set of omega (conjugation_basis),
-    which generates the group too, so a homomorphism is tested from its
-    values there.  All are computed on first use.  Whoever builds the pair
-    (inn, genpair_from_text, close_group) bounds its group by a cap; a
-    subgroup closed inside it takes no cap of its own.
+    conj_table is omega's ConjugationTable, the one place omega members are
+    conjugated by one another; conj_stable records whether omega is closed
+    under conjugation by the whole group; faithful records whether only the
+    identity centralizes all of omega; omega_position maps each omega
+    member to its index; omega_basis is a quandle generating set of omega
+    as positions (conjugation_basis), which generates the group too.  All
+    are computed on first use.  Whoever builds the pair (inn,
+    genpair_from_text, close_group) bounds its group by a cap; a subgroup
+    closed inside it takes no cap of its own.
     """
 
     group: PermGroup
@@ -94,8 +96,12 @@ class GenPair:
         return self.group.degree
 
     @cached_property
+    def conj_table(self) -> ConjugationTable:
+        return ConjugationTable(self.omega)
+
+    @cached_property
     def conj_stable(self) -> bool:
-        return is_conjugation_stable(self.group, self.omega)
+        return conjugation_stable_under(self.group.generators, self.omega)
 
     @cached_property
     def faithful(self) -> bool:
@@ -106,8 +112,8 @@ class GenPair:
         return {w: i for i, w in enumerate(self.omega)}
 
     @cached_property
-    def omega_basis(self) -> tuple[Perm, ...]:
-        return tuple(conjugation_basis(self.omega)[0])
+    def omega_basis(self) -> tuple[int, ...]:
+        return tuple(conjugation_basis(self.conj_table, range(len(self.omega)))[0])
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -227,8 +233,7 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
         report.append("omega containment: image of omega leaves the target omega")
         return report
     values = [lam[a] for a in m.images]
-    pos = src.omega_position
-    hom = extend_hom([(q, values[pos[q]]) for q in src.omega_basis], src.degree, tgt.degree)
+    hom = extend_hom([(src.omega[i], values[i]) for i in src.omega_basis], src.degree, tgt.degree)
     if hom is None or any(hom[w] != v for w, v in zip(src.omega, values)):
         report.append("homomorphism: the values on omega do not extend to a homomorphism")
         return report
@@ -343,15 +348,14 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if not all(0 <= a < len(lam) for a in m.images):
         report.append("gamma: subset is not contained in the target omega")
         return report
-    basis, stable = conjugation_basis([lam[a] for a in sorted(m.images)])
+    basis, stable = conjugation_basis(tgt.conj_table, sorted(m.images))
     if not stable:
         report.append("stability: subset is not conjugation-stable in the domain group")
     if not all(0 <= i < len(omega) for i in m.images.values()):
         report.append("bijectivity: proj carries the subset outside the source omega")
         return report
-    proj = {lam[a]: omega[i] for a, i in m.images.items()}
-    hom = extend_hom([(g, proj[g]) for g in basis], tgt.degree, src.degree)
-    if hom is None or any(hom[g] != v for g, v in proj.items()):
+    hom = extend_hom([(lam[a], omega[m.images[a]]) for a in basis], tgt.degree, src.degree)
+    if hom is None or any(hom[lam[a]] != omega[i] for a, i in m.images.items()):
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
     if len(m.images) != len(omega) or len(set(m.images.values())) != len(omega):
@@ -502,26 +506,24 @@ def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
     set Q fix it.  Q grows with the search: its next member is the first
     point sigma does not reach yet, most moved points first, since those
     pin the most.  Each branch sends it to an unused target omega member and
-    extends sigma by sigma(x |> y) = sigma(x) |> sigma(y); it dies when such
-    a conjugate leaves the target omega, clashes with sigma or repeats one
-    of its values.  A complete sigma is kept when its values on Q extend to
-    a homomorphism, which then agrees with sigma^-1 on all of gamma.  The
-    output is sorted by gamma's positions in the target omega, then by the
-    source positions of proj's values in gamma order.  A source omega not
-    closed under its own conjugation has no morphisms.  Trying more than
-    SUBSET_CAP assignments, or a Q deeper than the interpreter's stack
-    allows, raises CapExceeded.
+    extends sigma by sigma(x |> y) = sigma(x) |> sigma(y), read from the
+    pairs' conj_tables; it dies when such a conjugate leaves the target
+    omega, clashes with sigma or repeats one of its values.  A complete
+    sigma is kept when its values on Q extend to a homomorphism, which then
+    agrees with sigma^-1 on all of gamma.  The output is sorted by gamma's
+    positions in the target omega, then by the source positions of proj's
+    values in gamma order.  A source omega not closed under its own
+    conjugation has no morphisms.  Trying more than SUBSET_CAP assignments,
+    or a Q deeper than the interpreter's stack allows, raises CapExceeded.
     """
     omega, lam = src.omega, tgt.omega
     k, m = len(omega), len(lam)
     if k > m:
         return []
-    pos, lam_pos = src.omega_position, tgt.omega_position
-    table = [[pos.get(conjugate(x, y)) for y in omega] for x in omega]
-    if any(None in row for row in table):
+    table, target_table = src.conj_table.rows, tgt.conj_table
+    if any(-1 in row for row in table):
         return []
     order = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
-    target_table: dict[tuple[int, int], int] = {}  # -1: the conjugate leaves omega
     sigma, preimage = [-1] * k, [-1] * m
     assigned: list[int] = []
     found: list[tuple[tuple[list[int], list[int]], StarMorphism]] = []
@@ -537,10 +539,7 @@ def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
             x = assigned[i]
             for y in assigned[:i]:
                 for u, v in ((x, y), (y, x)):
-                    su, sv = sigma[u], sigma[v]
-                    c = target_table.get((su, sv))
-                    if c is None:
-                        c = target_table[su, sv] = lam_pos.get(conjugate(lam[su], lam[sv]), -1)
+                    c = target_table[sigma[u], sigma[v]]
                     z = table[u][v]
                     if c >= 0 and sigma[z] == -1 and preimage[c] == -1:
                         sigma[z], preimage[c] = c, z

@@ -174,27 +174,17 @@ def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup
     return PermGroup(degree, gens, frozenset(seen))
 
 
-def _require_subset(group: PermGroup, subset: Iterable[Perm]) -> list[Perm]:
+def centralizer_of_subset_is_trivial(group: PermGroup, subset: Iterable[Perm]) -> bool:
+    """True when only the identity commutes with every member of the subset."""
     elems = [tuple(s) for s in subset]
     for s in elems:
         if s not in group.elements:
             raise ValueError("subset element %s is not in the group" % (s,))
-    return elems
-
-
-def centralizer_of_subset_is_trivial(group: PermGroup, subset: Iterable[Perm]) -> bool:
-    """True when only the identity commutes with every member of the subset."""
-    elems = _require_subset(group, subset)
     e = group.identity
     for g in group.elements:
         if g != e and all(conjugate(g, s) == s for s in elems):
             return False
     return True
-
-
-def is_conjugation_stable(group: PermGroup, subset: Iterable[Perm]) -> bool:
-    """True when g s g^-1 stays in the subset for every g in the group."""
-    return conjugation_stable_under(group.generators, _require_subset(group, subset))
 
 
 def conjugation_stable_under(generators: Iterable[Perm], subset: Iterable[Perm]) -> bool:
@@ -209,24 +199,45 @@ def conjugation_stable_under(generators: Iterable[Perm], subset: Iterable[Perm])
     return all(conjugate(g, s) in sset for g in generators for s in sset)
 
 
-def conjugation_basis(members: Sequence[Perm]) -> tuple[list[Perm], bool]:
+class ConjugationTable(dict):
+    """Entry (i, j): the position among the members of members[i] members[j]
+    members[i]^-1, or -1 if it is none.  Each entry is conjugated on first
+    read, so a reader pays for the entries it reads; rows holds them all."""
+
+    def __init__(self, members: Sequence[Perm]) -> None:
+        super().__init__()
+        self.members = members
+        self.position = {m: i for i, m in enumerate(members)}
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        i, j = key
+        c = self[key] = self.position.get(conjugate(self.members[i], self.members[j]), -1)
+        return c
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        n = range(len(self.members))
+        return tuple(tuple([self[i, j] for j in n]) for i in n)
+
+
+def conjugation_basis(table: ConjugationTable, members: Sequence[int]) -> tuple[list[int], bool]:
     """(basis, stable): a quandle generating set of the members, and whether
     the members are closed under conjugation by one another.
 
-    The members are taken in order; one that conjugation by the basis has
-    not reached yet joins the basis.  Each pair (basis member, reached
-    member) is conjugated once, |basis| * |members| conjugates at most, and
-    a conjugate outside the members is not reached.  Every reached member
-    lies in the group the basis generates, so the basis generates the same
-    group as the members.  stable is True exactly when every conjugate
-    stays among the members: stability under generators is stability under
-    the group they generate.  No group is closed.
+    The members are table positions, taken in order; one that conjugation
+    by the basis has not reached yet joins the basis.  Each pair (basis
+    member, reached member) is read once, |basis| * |members| entries at
+    most, and a conjugate outside the members is not reached.  Every
+    reached member lies in the group the basis generates, so the basis
+    generates the same group as the members.  stable is True exactly when
+    every conjugate stays among the members: stability under generators is
+    stability under the group they generate.  No group is closed.
     """
     mset = frozenset(members)
-    basis: list[Perm] = []
+    basis: list[int] = []
     done: list[int] = []  # done[i]: reached members basis[i] has conjugated
-    reached: list[Perm] = []
-    seen: set[Perm] = set()
+    reached: list[int] = []
+    seen: set[int] = set()
     stable = True
     for m in members:
         if m in seen:
@@ -238,7 +249,7 @@ def conjugation_basis(members: Sequence[Perm]) -> tuple[list[Perm], bool]:
         while any(d < len(reached) for d in done):
             for i, b in enumerate(basis):
                 while done[i] < len(reached):
-                    c = conjugate(b, reached[done[i]])
+                    c = table[b, reached[done[i]]]
                     done[i] += 1
                     if c not in mset:
                         stable = False

@@ -21,10 +21,10 @@ from typing import Iterable, Sequence
 from .grpgen import GenPair
 from .perm import (
     DEFAULT_CAP,
+    ConjugationTable,
     Perm,
     PermGroup,
     close_group,
-    conjugate,
     inverse,
     is_perm,
     perm_to_text,
@@ -198,17 +198,15 @@ def conjugation_quandle(group: PermGroup, omega: Iterable[Perm]) -> Quandle:
     for p in pts:
         if p not in group.elements:
             raise ValueError("omega element %s is not in the group" % (p,))
-    index = {p: i for i, p in enumerate(pts)}
-    table = []
-    for x in pts:
-        row = []
-        for y in pts:
-            z = conjugate(x, y)
-            if z not in index:
-                raise ValueError("omega is not conjugation-stable (conjugate escapes)")
-            row.append(index[z])
-        table.append(tuple(row))
-    return Quandle(tuple(table), tuple(perm_to_text(p) for p in pts))
+    return quandle_of_conjugation_table(ConjugationTable(pts))
+
+
+def quandle_of_conjugation_table(table: ConjugationTable) -> Quandle:
+    """The conjugation quandle on the table's members, in their order;
+    labels record the permutations."""
+    if any(-1 in row for row in table.rows):
+        raise ValueError("omega is not conjugation-stable (conjugate escapes)")
+    return Quandle(table.rows, tuple(perm_to_text(p) for p in table.members))
 
 
 @dataclass(frozen=True)

@@ -289,8 +289,9 @@ def test_verify_rejects_dihedral_and_trivial_tokens_with_extra_fields(capsys):
 
 
 def test_homs_too_deep_for_the_stack_exits_2(tmp_path, capsys, monkeypatch):
-    # the backtracker recurses once per source point; a source larger than
-    # the interpreter's recursion limit allows is refused, not overflowed
+    # the backtracker recurses once per generator, and a trivial quandle
+    # needs every point as one; a source needing more generators than the
+    # interpreter's recursion limit allows is refused, not overflowed
     big, one = tmp_path / "t120.quandle", tmp_path / "t1.quandle"
     assert main(["make", "trivial", "120", "--out", str(big)]) == 0
     assert main(["make", "trivial", "1", "--out", str(one)]) == 0

@@ -66,6 +66,143 @@ def test_to_quandle_requires_stable_faithful():
         to_quandle(unstable)
 
 
+def stable_pairs():
+    """Inner pairs, then make_genpair pairs whose omega is conjugation-stable:
+    the reflections of D9, all of S4 and the transpositions of S4."""
+    from quandlekit import dihedral_group, dihedral_reflections, make_genpair
+    from quandlekit.perm import all_transpositions
+
+    s4 = symmetric_group(4)
+    return [inn(q) for q in (dihedral(3), dihedral(9), conj_s3())] + [
+        make_genpair(dihedral_group(9), dihedral_reflections(9)),
+        make_genpair(s4, s4.elements),
+        make_genpair(s4, all_transpositions(4)),
+    ]
+
+
+def unstable_pairs():
+    """make_genpair pairs whose omega is not conjugation-stable: the
+    reflections of D9 plus a rotation, and two generators of S3."""
+    from quandlekit import dihedral_group, dihedral_reflections, make_genpair
+
+    d9, refl9 = dihedral_group(9), dihedral_reflections(9)
+    rotation = next(g for g in d9.generators if g not in refl9)
+    return [
+        make_genpair(d9, refl9 + [rotation]),
+        make_genpair(symmetric_group(3), [(1, 0, 2), (1, 2, 0)]),
+    ]
+
+
+def test_conj_table_matches_conjugating_omega():
+    from quandlekit import perm
+
+    stable, unstable = stable_pairs(), unstable_pairs()
+    assert all(p.conj_stable for p in stable) and not any(p.conj_stable for p in unstable)
+    pairs = stable + unstable
+    for p in pairs:
+        pos = p.omega_position
+        oracle = tuple(tuple(pos.get(perm.conjugate(x, y), -1) for y in p.omega) for x in p.omega)
+        # one entry read conjugates one entry; rows fills the rest
+        last = len(p.omega) - 1
+        assert p.conj_table[last, 0] == oracle[last][0] and len(p.conj_table) == 1
+        assert p.conj_table.rows == oracle
+        assert len(p.conj_table) == len(p.omega) ** 2
+        # omega generates the group, so stability under the group's
+        # generators is closure under conjugation by omega: no -1
+        assert p.conj_stable == all(-1 not in row for row in oracle)
+        if p.conj_stable and p.faithful:
+            q, expected = to_quandle(p), conjugation_quandle(p.group, p.omega)
+            assert q == expected and q.labels == expected.labels
+        else:
+            with pytest.raises(ValueError):
+                to_quandle(p)
+
+
+def test_nothing_conjugates_omega_once_its_table_is_built(monkeypatch):
+    # ConjugationTable is the one place omega members are conjugated by one
+    # another: with each pair's table filled (and faithfulness, whose
+    # centralizer test conjugates, computed), neither the searches, the
+    # checks, nor the backward functor and eta conjugate anything
+    from quandlekit import grpgen, homs, perm, quandle
+
+    calls = []
+    real = perm.conjugate
+
+    def counted(g, s):
+        calls.append(None)
+        return real(g, s)
+
+    for mod in (perm, grpgen, quandle, homs, functors):
+        if hasattr(mod, "conjugate"):
+            monkeypatch.setattr(mod, "conjugate", counted)
+
+    def build_table(p):
+        assert p.faithful
+        del calls[:]
+        assert len(p.conj_table.rows) == len(p.omega)
+        assert len(calls) == len(p.omega) ** 2
+        return p
+
+    pairs = [build_table(p) for p in stable_pairs()]
+    round_trips = [build_table(to_pair(to_quandle(p))) for p in pairs]
+    del calls[:]
+    for p, rt in zip(pairs, round_trips):
+        assert to_quandle(p).n == len(p.omega)
+        assert check_surj_morphism(eta_surj(p, rt)) == []
+        assert check_star_morphism(eta_star(p, rt)) == []
+    for src, tgt in itertools.product(pairs, repeat=2):
+        for m in enumerate_star_morphisms(src, tgt):
+            assert check_star_morphism(m) == []
+        for m in enumerate_surj_morphisms(src, tgt):
+            assert check_surj_morphism(m) == []
+    assert calls == []
+
+
+def test_describing_a_large_pair_reads_no_conjugation_table(monkeypatch, tmp_path, capsys):
+    # conj_stable conjugates omega by the group's generators only, so
+    # make genpair on all of S6 costs |gens| * |omega| conjugates, not
+    # |omega|^2 table entries
+    from quandlekit import make_genpair, perm
+    from quandlekit.perm import ConjugationTable
+
+    def refuse(table, key):
+        raise AssertionError("conjugation table entry %r read" % (key,))
+
+    monkeypatch.setattr(ConjugationTable, "__missing__", refuse)
+    assert main(["make", "genpair", "symmetric", "6", "all", "--out", str(tmp_path / "s6.g")]) == 0
+    assert "conj-stable: yes" in capsys.readouterr().out
+    s6 = symmetric_group(6)
+    p = make_genpair(s6, s6.elements)
+    calls = []
+    real = perm.conjugate
+    monkeypatch.setattr(perm, "conjugate", lambda g, s: calls.append(None) or real(g, s))
+    assert p.conj_stable and len(calls) == len(s6.generators) * len(p.omega)
+    assert not make_genpair(s6, s6.generators).conj_stable
+
+
+def test_star_checks_and_searches_read_only_the_target_entries_they_reach(monkeypatch):
+    # a star morphism into all of S6 (720 omega members) from inn(R3):
+    # the check reads |basis| * |gamma| target entries, and a search cut
+    # by the cap at most k(k-1) entries per assignment, never all 720^2
+    from quandlekit import grpgen, make_genpair, make_star_morphism
+
+    def swap(n, a, b):
+        p = list(range(n))
+        p[a], p[b] = b, a
+        return tuple(p)
+
+    src, s6 = inn(dihedral(3)), symmetric_group(6)
+    tgt = make_genpair(s6, s6.elements)
+    proj = {swap(6, a, b): swap(3, a, b) for a, b in ((0, 1), (0, 2), (1, 2))}
+    assert check_star_morphism(make_star_morphism(src, tgt, proj)) == []
+    assert len(tgt.conj_table) <= 2 * 3
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", 2000)
+    tgt = make_genpair(s6, s6.elements)
+    with pytest.raises(CapExceeded):
+        enumerate_star_morphisms(src, tgt)
+    assert len(tgt.conj_table) <= 3 * 2 * grpgen.SUBSET_CAP < len(tgt.omega) ** 2 // 20
+
+
 def test_round_trip_theta_is_isomorphism():
     for q in (dihedral(3), dihedral(9), conj_s3()):
         th = theta(q, to_pair(q))

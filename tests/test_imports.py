@@ -1,5 +1,6 @@
 """No module under src/, tests/ or scripts/ imports a name at top level that
-it never uses, and no function there assigns a local that it never reads.
+it never uses, no function there assigns a local that it never reads, and
+no private top-level function or class of the package goes unnamed.
 Package __init__ modules are skipped by the import check: their imports are
 the package's re-exports."""
 
@@ -110,3 +111,35 @@ def test_no_function_assigns_a_local_it_never_reads():
         for line, func, name in unread_locals(path)
     ]
     assert found == [], "locals assigned and never read:\n" + "\n".join(found)
+
+
+def named(path):
+    """Every name path's code reads, imports, looks up as an attribute or
+    spells as a string (for setattr and friends); definitions do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_no_private_top_level_definition_goes_unnamed():
+    # a helper whose last caller went is dead code; private names are not
+    # part of the package's interface, so nothing outside the repo calls them
+    paths = python_files()
+    names = set().union(*(named(path) for path in paths))
+    found = [
+        "%s:%d %s" % (path.relative_to(ROOT), node.lineno, node.name)
+        for path in sorted((ROOT / "src" / "quandlekit").rglob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in names
+    ]
+    assert found == [], "private definitions nothing names:\n" + "\n".join(found)

@@ -30,6 +30,25 @@ def test_run_equivalence_suite_rejects_empty_corpus(monkeypatch, capsys):
     assert code == 2 and "empty corpus" in captured.err
 
 
+def test_run_equivalence_suite_rejects_unfaithful_corpus(monkeypatch, capsys):
+    code, captured = run_script(
+        monkeypatch, capsys, "run_equivalence_suite.py", "--corpus", "r3,trivial:2"
+    )
+    assert code == 2
+    assert captured.err == "error: trivial:2: not faithful\n"
+
+
+def test_run_equivalence_suite_reports_a_cap(monkeypatch, capsys):
+    from quandlekit import grpgen
+
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", 0)
+    code, captured = run_script(
+        monkeypatch, capsys, "run_equivalence_suite.py", "--corpus", "r3", "--mode", "inj"
+    )
+    assert code == 2
+    assert captured.err.startswith("error: star morphism search tried more than subset_cap=0")
+
+
 def test_count_injective_homs(monkeypatch, capsys):
     code, captured = run_script(monkeypatch, capsys, "count_injective_homs.py")
     out = captured.out
