@@ -485,8 +485,10 @@ def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
     generates; each consistent assignment inside the target omega is kept
     when the restriction covers all of it.  Only images whose order divides
     the generator's are tried, which leaves the output and its order as
-    they would be without that cut.
+    they would be without that cut.  A smaller source omega has none.
     """
+    if len(src.omega) < len(tgt.omega):
+        return []
     pos = tgt.omega_position
     out = []
     for hom in _extension_search(list(src.omega), list(tgt.omega), src.degree, tgt.degree):

@@ -9,8 +9,8 @@ switching to clever data structures.
 
 from __future__ import annotations
 
+import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -70,13 +70,18 @@ def conjugate(g: Perm, s: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
-    n = 1
-    q = p
-    e = identity(len(p))
-    while q != e:
-        q = compose(q, p)
-        n += 1
-    return n
+    """The order of p: the lcm of its cycle lengths."""
+    if not is_perm(p):
+        raise ValueError("not a permutation: %r" % (p,))
+    order, seen = 1, [False] * len(p)
+    for start in range(len(p)):
+        i, length = start, 0
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        order = math.lcm(order, length or 1)
+    return order
 
 
 def perm_to_text(p: Perm) -> str:
@@ -140,12 +145,15 @@ class PermGroup:
 
 
 def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup:
-    """Breadth-first closure of the generators, from the identity.
+    """The group the generators generate, closed from the identity.
 
-    The BFS multiplies on the right by the distinct non-identity
-    generators only: in a finite group every inverse is a positive power,
-    so they reach every element.  The generators are kept as given.
-    Exceeding ``cap`` elements raises CapExceeded.
+    A generator the closure already contains is skipped.  A kept letter
+    multiplies, on the right, the elements found so far, and each element
+    found after it is multiplied by every kept letter.  The set then holds
+    the identity and is closed under right multiplication by each kept
+    letter, so it is the group: in a finite group every inverse is a
+    positive power.  The generators are kept as given.  Exceeding ``cap``
+    elements raises CapExceeded.
     """
     gens = tuple(tuple(g) for g in generators)
     if not gens:
@@ -156,21 +164,22 @@ def close_group(generators: Iterable[Perm], cap: int = DEFAULT_CAP) -> PermGroup
             raise ValueError("generators have mixed degrees")
         if not is_perm(g):
             raise ValueError("generator is not a permutation: %r" % (g,))
-    e = identity(degree)
-    alphabet = [g for g in dict.fromkeys(gens) if g != e]
-    seen = {e}
-    queue: deque[Perm] = deque([e])
-    while queue:
-        cur = queue.popleft()
-        for g in alphabet:
-            nxt = compose(cur, g)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        "group closure exceeded the cap of %d elements" % cap
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
+    found = [identity(degree)]
+    seen = set(found)
+    letters: list[Perm] = []
+    for g in gens:
+        if g in seen:
+            continue
+        letters.append(g)
+        start = len(found)
+        for i, cur in enumerate(found):  # found grows while it is read
+            for h in letters if i >= start else (g,):
+                nxt = tuple([cur[j] for j in h])
+                if nxt not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded("group closure exceeded the cap of %d elements" % cap)
+                    seen.add(nxt)
+                    found.append(nxt)
     return PermGroup(degree, gens, frozenset(seen))
 
 

@@ -280,6 +280,26 @@ def test_enumerate_surj_morphisms_r9_to_r3():
     assert enumerate_surj_morphisms(p3, p9) == []
 
 
+def test_surj_enumeration_counts_before_it_searches(monkeypatch):
+    # images must cover the target omega, so a smaller source omega has no
+    # surjective morphism and the extension search is not entered
+    s4, s5, s3 = symmetric_group(4), symmetric_group(5), symmetric_group(3)
+    searches = []
+    real = grpgen._extension_search
+    monkeypatch.setattr(grpgen, "_extension_search", lambda *a: searches.append(a) or real(*a))
+    c4 = inn(conjugation_quandle(s4, s4.sorted_elements()))
+    c5 = inn(conjugation_quandle(s5, s5.sorted_elements()))
+    assert enumerate_surj_morphisms(c4, c5) == []
+    assert searches == []
+    small = [refl_pair(3), refl_pair(5), inn(conjugation_quandle(s3, s3.sorted_elements()))]
+    for src, tgt in itertools.combinations(small, 2):
+        assert len(src.omega) < len(tgt.omega)
+        assert enumerate_surj_morphisms(src, tgt) == brute_force_surj_morphisms(src, tgt) == []
+    assert searches == []
+    assert enumerate_surj_morphisms(small[0], small[0])
+    assert len(searches) == 1
+
+
 def test_compose_surj():
     p9, p3 = refl_pair(9), refl_pair(3)
     ms = enumerate_surj_morphisms(p9, p3)

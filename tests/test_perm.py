@@ -74,6 +74,26 @@ def test_perm_order():
     assert perm_order((1, 0, 3, 4, 2)) == 6
 
 
+def _order_by_composition(p):
+    n, q = 1, p
+    while q != identity(len(p)):
+        q = compose(q, p)
+        n += 1
+    return n
+
+
+def test_perm_order_is_the_number_of_compositions_back_to_the_identity():
+    for group in (symmetric_group(5), dihedral_group(81)):
+        for p in group.elements:
+            assert perm_order(p) == _order_by_composition(p)
+
+
+@pytest.mark.parametrize("images", [(0, 0), (1, 1, 0), (2, 0)])
+def test_perm_order_rejects_a_non_permutation(images):
+    with pytest.raises(ValueError, match="not a permutation"):
+        perm_order(images)
+
+
 def test_perm_text_round_trip():
     p = (3, 1, 0, 2)
     assert perm_from_text(perm_to_text(p)) == p
@@ -97,6 +117,25 @@ def test_close_group_single_cycle():
 def test_close_group_cap():
     with pytest.raises(CapExceeded):
         close_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=10)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [identity(5), (1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+        [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0), (2, 3, 4, 0, 1)],
+        [(1, 2, 3, 4, 0), (1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+        [identity(5), (1, 2, 3, 4, 0), (4, 3, 2, 1, 0), (2, 3, 4, 0, 1), (4, 3, 2, 1, 0)],
+    ],
+    ids=["identity-first", "redundant", "repeat", "dihedral-all-three"],
+)
+def test_close_group_cap_is_exact(gens):
+    # the cap fires exactly when the group has more elements than it allows
+    elements = naive_closure(gens)
+    assert close_group(gens, cap=len(elements)).elements == elements
+    message = "^group closure exceeded the cap of %d elements$" % (len(elements) - 1)
+    with pytest.raises(CapExceeded, match=message):
+        close_group(gens, cap=len(elements) - 1)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from quandlekit import (
 from quandlekit.quandle import validate_abelian_automorphism
 from quandlekit.perm import centralizer_of_subset_is_trivial
 
-from helpers import abelian_automorphisms, conjugacy_classes
+from helpers import abelian_automorphisms, all_quandles, axiom_violations, conjugacy_classes
 
 
 def test_table_validation():
@@ -44,6 +46,70 @@ def test_axiom_violations_are_reported():
     bad = check_axioms(Quandle(tuple(tuple(r) for r in table)))
     assert ("Q1", (0,)) in bad
     assert any(name == "Q3" for name, _ in bad)
+
+
+@st.composite
+def arbitrary_tables(draw, max_n=5):
+    """Tables whose rows are permutations or arbitrary maps, mixed."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    row = st.one_of(
+        st.permutations(range(n)).map(tuple),
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n).map(tuple),
+        st.integers(min_value=0, max_value=n - 1).map(lambda c: (c,) * n),
+    )
+    return Quandle(tuple(draw(row) for _ in range(n)))
+
+
+@given(arbitrary_tables())
+@settings(max_examples=300, deadline=None)
+def test_check_axioms_lists_what_the_triple_scan_lists(q):
+    assert check_axioms(q) == axiom_violations(q)
+
+
+def _valid_quandles():
+    s4 = symmetric_group(4)
+    small = [q for n in range(1, 5) for q in all_quandles(n)]
+    return small + [
+        dihedral(9),
+        conjugation_quandle(s4, s4.sorted_elements()),
+        alexander_quandle([7], [[3]]),
+    ]
+
+
+def _perturbed(q, rng):
+    """One entry changed, one row replaced by a permutation, two rows
+    swapped: rows that stay automorphisms, and so are skipped, sit beside
+    rows that fail."""
+    n = q.n
+    t = [list(row) for row in q.table]
+    x, y = rng.randrange(n), rng.randrange(n)
+    changed = [list(row) for row in t]
+    changed[x][y] = rng.randrange(n)
+    replaced = [list(row) for row in t]
+    replaced[x] = rng.sample(range(n), n)
+    swapped = [list(row) for row in t]
+    swapped[x], swapped[y] = swapped[y], swapped[x]
+    return [Quandle(tuple(map(tuple, rows))) for rows in (changed, replaced, swapped)]
+
+
+def test_check_axioms_lists_what_the_triple_scan_lists_on_quandles_and_perturbations():
+    rng = random.Random(16)
+    valid = _valid_quandles()
+    broken = 0
+    for q in valid:
+        assert check_axioms(q) == axiom_violations(q) == []
+    for q in valid[-3:] + rng.sample(valid, 40):
+        for _ in range(4 if q.n > 4 else 1):
+            for p in _perturbed(q, rng):
+                expected = axiom_violations(p)
+                assert check_axioms(p) == expected, p.table
+                broken += bool(expected)
+    assert broken > 100
+    # a constant row keeps Q3 at every (y, z) without being a permutation,
+    # so nothing may be derived from it: row 2 still fails
+    q = Quandle(((2, 2, 2), (0, 1, 2), (1, 0, 2)))
+    assert check_axioms(q) == axiom_violations(q)
+    assert ("Q3", (2, 0, 0)) in check_axioms(q)
 
 
 def test_dihedral_axioms_and_faithfulness():
