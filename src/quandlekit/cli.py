@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 from .grpgen import (
@@ -60,6 +61,36 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _json_text(obj: object, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a tree of dicts with
+    string keys, lists, tuples and scalars.
+
+    With indent set the stdlib leaves its C encoder for the pure-Python
+    one, which writes every int of a large payload as its own chunk; here
+    a list of plain ints (bools excluded) is joined in one call, strings
+    are quoted by the stdlib's own quoting function, and only the other
+    scalars go through json.dumps.
+    """
+    if isinstance(obj, str):
+        return quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([quote(k) + ": " + _json_text(v, inner) for k, v in obj.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is int for v in obj):
+            body = (",\n" + inner).join(map(str, obj))
+        else:
+            body = (",\n" + inner).join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
 
 
 def _load_quandle(path: str) -> Quandle:
@@ -202,7 +233,7 @@ def cmd_homs(args: argparse.Namespace) -> int:
     if args.json:
         payload = {"schema": 1}
         payload.update(homs_to_dict(q1, q2, mode, homs))
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         lines = ["count: %d" % len(homs)]
         lines.extend(" ".join(str(v) for v in f.mapping) for f in homs)
@@ -234,7 +265,7 @@ def cmd_star_homs(args: argparse.Namespace) -> int:
             "count": len(morphisms),
             "morphisms": [_star_to_dict(m) for m in morphisms],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         lines = ["count: %d" % len(morphisms)]
         lines.extend(
@@ -295,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = sum(len(r.failures) for r in reports)
     if args.json:
         payload = {"schema": 1, "reports": [r.to_dict() for r in reports]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         lines = [r.summary() for r in reports]
         lines.append("all checks passed" if failures == 0 else "%d failing checks" % failures)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism, make_star_morphism, make_surj_morphism
-from .perm import require_recursion_depth
-from .quandle import GenPair, Quandle, is_faithful
+from .perm import perm_order, require_recursion_depth
+from .quandle import GenPair, Quandle, check_axioms, is_faithful
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
 MODE_WORDS = {
@@ -134,11 +134,27 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     search branches only on generators (_generator_blocks).  After a
     generator is given a value, the points of its closure block follow in
     a flat loop: a point z reached as x |> y = z can only take the value
-    img[x] |> img[y], since any other value fails that instance.  Every
-    equivariance instance (x, y) is checked as soon as the last of x, y
-    and x |> y is placed, so all n1 * n1 instances hold on each result, on
-    tables that are not quandles too.  Modes "injective" and "surjective"
-    add the obvious pruning at every placement.
+    img[x] |> img[y], since any other value fails that instance.  Each
+    equivariance instance (x, y) that is checked is checked as soon as the
+    last of x, y and x |> y is placed.
+
+    Which instances are checked depends on one flag: whether both tables
+    are quandles (check_axioms finds nothing).  Lemma: in a quandle
+    s_{x|>y} = s_x s_y s_x^-1 (Q3, with Q2 for the inverse), so a map with
+    f s_x = s_{f(x)} f, f s_y = s_{f(y)} f and f(x |> y) = f(x) |> f(y)
+    also has f s_{x|>y} = s_{f(x|>y)} f.  Every block point is placed by
+    such an equation, so by induction along the block order a map that
+    keeps the instances in each generator's row keeps all n1 * n1.  With
+    the flag set, only the instances in a generator's row or column are
+    checked; the columns reject a wrong generator value before its block
+    is placed.  Without it every instance is checked, so tables that are
+    not quandles get every hom and nothing else.
+
+    Modes "injective" and "surjective" add the obvious pruning at every
+    placement.  With the flag set, which also makes every row a
+    permutation, they prune generator values by symmetry order too: from
+    f s_x^k = s_{f(x)}^k f, an onto f has ord(s_{f(x)}) dividing ord(s_x),
+    and a one-to-one f has ord(s_x) dividing ord(s_{f(x)}).
 
     Every point smaller than a generator lies in the closure of the
     generators before it, so the map arrays compare as the tuples of
@@ -162,21 +178,30 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     position = [0] * n1
     for k, p in enumerate(order):
         position[p] = k
+    quandles = not check_axioms(q1) and not check_axioms(q2)
+    generators = {g for g, _ in blocks}
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
     for x in range(n1):
         for y in range(n1):
+            if quandles and x not in generators and y not in generators:
+                continue
             z = t1[x][y]
             checks[max(position[x], position[y], position[z])].append((x, y, z))
-    # per generator: the generator, its slack and checks, and one step
-    # (point, x, y, slack, checks) per point of its block, whose forced value
-    # is x |> y; slack is the number of points placed after a point, which
-    # the surjective pruning reads
-    plan = []
-    for g, block in blocks:
-        steps = [(z, x, y, n1 - 1 - position[z], checks[position[z]]) for z, x, y in block]
-        plan.append((g, n1 - 1 - position[g], checks[position[g]], steps))
     injective = mode == "injective"
     surjective = mode == "surjective"
+    orders = [perm_order(row) for row in t2] if quandles and (injective or surjective) else None
+    # per generator: the generator, its candidate values, slack and checks,
+    # and one step (point, x, y, slack, checks) per point of its block,
+    # whose forced value is x |> y; slack is the number of points placed
+    # after a point, which the surjective pruning reads
+    plan = []
+    for g, block in blocks:
+        values: Sequence[int] = range(n2)
+        if orders is not None:
+            k = perm_order(t1[g])
+            values = [v for v in values if (k % orders[v] if surjective else orders[v] % k) == 0]
+        steps = [(z, x, y, n1 - 1 - position[z], checks[position[z]]) for z, x, y in block]
+        plan.append((g, values, n1 - 1 - position[g], checks[position[g]], steps))
     out: list[QuandleHom] = []
     img: list[int] = [0] * n1
     used = [0] * n2  # multiplicity of each target value among placed points
@@ -185,8 +210,8 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
         if level == len(plan):
             out.append(_trusted_hom(q1, q2, tuple(img)))
             return
-        g, slack, gen_checks, steps = plan[level]
-        for v in range(n2):
+        g, values, slack, gen_checks, steps = plan[level]
+        for v in values:
             if injective and used[v]:
                 continue
             d = distinct + (used[v] == 0)

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import dihedral, grpgen, quandle_from_text
-from quandlekit.cli import load_corpus, main
+from quandlekit.cli import _json_text, load_corpus, main
 from quandlekit.perm import RECURSION_MARGIN
 
 
@@ -195,10 +197,11 @@ def test_star_homs_subset_cap(tmp_path, capsys, monkeypatch):
 GOLDEN_STAR_HOMS = json.loads(Path(__file__).with_name("golden_star_homs.json").read_text())
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_STAR_HOMS))
-def test_star_homs_json_matches_golden_digest(key, tmp_path, capsys):
+def write_quandles_and_pairs(tokens, tmp_path):
+    """Each corpus token (rN or conj:sN) written as a quandle file and as
+    the file of its inner pair; returns the pair files."""
     paths = []
-    for token in key.split(" "):
+    for token in tokens:
         if token.startswith("conj:s"):
             spec = ["conj", "symmetric", token[len("conj:s"):], "all"]
         else:
@@ -207,6 +210,12 @@ def test_star_homs_json_matches_golden_digest(key, tmp_path, capsys):
         assert main(["make", *spec, "--out", str(quandle)]) == 0
         assert main(["inn", str(quandle), "--out", str(pair)]) == 0
         paths.append(str(pair))
+    return paths
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STAR_HOMS))
+def test_star_homs_json_matches_golden_digest(key, tmp_path, capsys):
+    paths = write_quandles_and_pairs(key.split(" "), tmp_path)
     capsys.readouterr()
     rc, out = run(capsys, "star-homs", *paths, "--json")
     assert rc == 0
@@ -348,3 +357,56 @@ def test_verify_json_on_conjugation_corpora_matches_golden_digest(key, capsys):
     rc, out = run(capsys, "verify", "--corpus", corpus, "--mode", mode, "--json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_CONJ[key]
+
+
+# JSON trees as the stdlib encodes them: string keys, nested containers,
+# tuples, empty containers, ints next to bools, None, floats, and strings
+# holding quotes, backslashes, control and non-ASCII characters.  The
+# writer is compared with the json module of the running interpreter, so
+# the test holds for whichever encoder that version has.
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028😀ab') | st.characters(), max_size=8)
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+JSON_TREES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_TREES)
+@settings(max_examples=150, deadline=None)
+def test_json_writer_matches_the_stdlib_indent_encoder(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_writer_matches_the_stdlib_on_golden_reports():
+    reports = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+    payload = {"schema": 1, "reports": [reports[key] for key in sorted(reports)]}
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_outputs_equal_the_stdlib_encoding_of_themselves(tmp_path, capsys):
+    # homs on three pairs, and star-homs and verify on the golden fixtures'
+    # inputs; parsing and re-encoding keeps each value, so the stdlib's text
+    # of the parsed payload is what the subcommand had to print
+    quandles = []
+    for spec in (["dihedral", "9"], ["dihedral", "81"], ["conj", "symmetric", "3", "all"]):
+        quandles.append(str(tmp_path / ("%s.quandle" % "-".join(spec))))
+        assert main(["make", *spec, "--out", quandles[-1]]) == 0
+    calls = [
+        ["homs", quandles[0], quandles[1], "--mode", "inj"],
+        ["homs", quandles[2], quandles[2]],
+        ["homs", quandles[2], quandles[0]],
+    ]
+    for key in sorted(GOLDEN_STAR_HOMS):
+        calls.append(["star-homs", *write_quandles_and_pairs(key.split(" "), tmp_path)])
+    for key in sorted(GOLDEN_VERIFY_CONJ):
+        mode, corpus = key.split(" ")
+        calls.append(["verify", "--corpus", corpus, "--mode", mode])
+    capsys.readouterr()
+    for argv in calls:
+        rc, out = run(capsys, *argv, "--json")
+        assert rc == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

@@ -120,6 +120,80 @@ def test_enumeration_matches_brute_force_on_arbitrary_tables(q1, q2, mode):
     assert fast == brute_force_homs(q1, q2, mode)
 
 
+def _swapped(q, x, a, b):
+    """q with the entries a and b of row x exchanged."""
+    table = [list(row) for row in q.table]
+    table[x][a], table[x][b] = table[x][b], table[x][a]
+    return Quandle(table)
+
+
+# R5 with two entries of one row exchanged off the diagonal: every row is
+# still a permutation fixing its own point, but Q3 fails, so a hom has to
+# be checked on every instance (the generating-set lemma needs Q3)
+NOT_Q3 = {"source": _swapped(dihedral(5), 2, 3, 4), "target": _swapped(dihedral(5), 0, 1, 4)}
+
+
+@pytest.mark.parametrize("side", sorted(NOT_Q3))
+def test_tables_that_break_only_q3_get_every_instance_checked(side, monkeypatch):
+    bad = NOT_Q3[side]
+    q1, q2 = (bad, dihedral(5)) if side == "source" else (dihedral(5), bad)
+    violations = homs.check_axioms(bad)
+    assert violations and {kind for kind, _ in violations} == {"Q3"}
+    # some map keeps every instance in a generator's row and column, and
+    # every instance its generators' blocks place by, yet is not a hom
+    blocks = homs._generator_blocks(q1.table)
+    generators = {g for g, _ in blocks}
+    kept = {(x, y) for _, block in blocks for _, x, y in block}
+    kept |= {(x, y) for x in range(q1.n) for y in range(q1.n) if x in generators or y in generators}
+    hom_set = set(brute_force_homs(q1, q2))
+    assert any(
+        all(m[q1.table[x][y]] == q2.table[m[x]][m[y]] for x, y in kept) and m not in hom_set
+        for m in itertools.product(range(q2.n), repeat=q1.n)
+    )
+    # the order prune needs both tables to be quandles too
+    monkeypatch.setattr(homs, "perm_order", lambda p: pytest.fail("order prune on a non-quandle"))
+    for mode in ("all", "injective", "surjective"):
+        fast = [f.mapping for f in enumerate_homs(q1, q2, mode)]
+        assert fast == brute_force_homs(q1, q2, mode), mode
+
+
+def _counting_target(q):
+    """q with a table that counts the rows read from it, and the count."""
+    reads = [0]
+
+    class Rows(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    object.__setattr__(q, "table", Rows(q.table))
+    return q, reads
+
+
+def test_symmetry_order_prune_cuts_without_changing_the_homs(monkeypatch):
+    # an onto hom sends s_x to a symmetry whose order divides ord(s_x): no
+    # 5-cycle of S5 has a value in S4 but the identity, and the search
+    # proves the empty answer quickly
+    s4, s5 = symmetric_group(4), symmetric_group(5)
+    cs4 = conjugation_quandle(s4, s4.sorted_elements())
+    cs5 = conjugation_quandle(s5, s5.sorted_elements())
+    assert enumerate_homs(cs5, cs4, "surjective") == []
+    # on smaller pairs, with every order read as 1 the prune lets every
+    # value through: the homs are the same, and the search reads the
+    # target table more often
+    s3 = symmetric_group(3)
+    cs3 = conjugation_quandle(s3, s3.sorted_elements())
+    for q1, q2, mode in ((cs4, cs3, "surjective"), (cs3, cs4, "injective")):
+        q2, reads = _counting_target(q2)
+        pruned = [f.mapping for f in enumerate_homs(q1, q2, mode)]
+        pruned_reads, reads[0] = reads[0], 0
+        with monkeypatch.context() as m:
+            m.setattr(homs, "perm_order", lambda p: 1)
+            unpruned = [f.mapping for f in enumerate_homs(q1, q2, mode)]
+        assert pruned and pruned == unpruned
+        assert pruned_reads < reads[0] / 1.5, (mode, pruned_reads, reads[0])
+
+
 def _relabelled(q, seed):
     """q with point x renamed perm[x], for a seeded permutation perm."""
     perm = list(range(q.n))
