@@ -44,7 +44,6 @@ from .perm import (
 from .quandle import (
     Quandle,
     alexander_quandle,
-    check_axioms,
     conjugation_quandle,
     dihedral,
     inn,
@@ -95,7 +94,7 @@ def _json_text(obj: object, indent: str = "") -> str:
 
 def _load_quandle(path: str) -> Quandle:
     q = quandle_from_text(Path(path).read_text())
-    bad = check_axioms(q)
+    bad = q.violations
     if bad:
         raise ValueError("%s: %d axiom violations, e.g. %s at %s" % (path, len(bad), bad[0][0], bad[0][1]))
     return q
@@ -145,7 +144,7 @@ def _resolve_omega(family: list[str], group: PermGroup, keyword: str) -> list:
 
 
 def _quandle_summary(q: Quandle) -> list[str]:
-    bad = check_axioms(q)
+    bad = q.violations
     lines = ["points: %d" % q.n]
     if bad:
         lines.append("axiom violations: %d" % len(bad))
@@ -201,10 +200,9 @@ def cmd_make(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     q = quandle_from_text(Path(args.path).read_text())
-    bad = check_axioms(q)
     lines = _quandle_summary(q)
     _emit("\n".join(lines) + "\n", args.out)
-    return 1 if bad else 0
+    return 1 if q.violations else 0
 
 
 def cmd_inn(args: argparse.Namespace) -> int:

@@ -40,8 +40,6 @@ from .grpgen import (
     identity_star,
     identity_surj,
     is_star_isomorphism,
-    make_star_morphism,
-    make_surj_morphism,
 )
 from .homs import (
     MODE_WORDS,
@@ -93,18 +91,17 @@ def G_surj_mor(m: SurjMorphism, source_quandle: Quandle, target_quandle: Quandle
 
 
 def G_inj_mor(m: StarMorphism, source_quandle: Quandle, target_quandle: Quandle) -> QuandleHom:
-    """Send each source omega member to the unique subset member above it.
+    """Send each source omega member to the unique subset member above it:
+    the stored positions themselves, as in G_surj_mor.
 
     The projection of a valid m restricts to a bijection subset -> source
-    omega, so its inverse is a well-defined injective quandle map: the
-    subset's target positions sorted by the source positions they project
-    to, which are each position of the source omega once.  The quandles
-    are to_quandle of m's source and target, and m is valid
-    (check_star_morphism), so the positions fit them.  The result is
-    built, not checked: check_hom checks it.
+    omega, and m.images[i] is the target position of the subset member
+    that projects to source point i, so the map is a well-defined injective
+    quandle map.  The quandles are to_quandle of m's source and target,
+    and m is valid (check_star_morphism), so the positions fit them.  The
+    result is built, not checked: check_hom checks it.
     """
-    images = m.images
-    return _trusted_hom(source_quandle, target_quandle, tuple(sorted(images, key=images.__getitem__)))
+    return _trusted_hom(source_quandle, target_quandle, m.images)
 
 
 def theta(q: Quandle, pair: GenPair) -> QuandleHom:
@@ -120,15 +117,26 @@ def theta(q: Quandle, pair: GenPair) -> QuandleHom:
     return QuandleHom(to_quandle(pair), q, tuple(back[w] for w in pair.omega))
 
 
+def _eta_images(p: GenPair, round_trip: GenPair) -> tuple[int, ...]:
+    """The omega positions of both flavors' eta: round_trip is
+    to_pair(to_quandle(p)), whose omega is the rows of p.conj_table, and
+    the row at omega point i, the symmetry at p.omega[i], sits over i."""
+    pos = round_trip.omega_position
+    images = [0] * len(pos)
+    for i, row in enumerate(p.conj_table.rows):
+        images[pos[row]] = i
+    return tuple(images)
+
+
 def eta_surj(p: GenPair, round_trip: GenPair) -> SurjMorphism:
     """The round-trip isomorphism on the pair side, surjective flavor.
 
     round_trip is to_pair(to_quandle(p)).  The map sends its inner group
     back onto the original group: the symmetry at omega point w, w's row
-    of p.conj_table, goes to w.  The result is built, not checked:
-    check_surj_morphism and SurjMorphism.is_injective check it.
+    of p.conj_table, goes to w (_eta_images).  The result is built, not
+    checked: check_surj_morphism and SurjMorphism.is_injective check it.
     """
-    return make_surj_morphism(round_trip, p, dict(zip(p.conj_table.rows, p.omega)))
+    return SurjMorphism(round_trip, p, _eta_images(p, round_trip))
 
 
 def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
@@ -136,10 +144,12 @@ def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
 
     round_trip is to_pair(to_quandle(p)).  The subset is the whole of p's
     omega and the projection is the conjugation action onto round_trip's
-    group: w goes to its row of p.conj_table, the symmetry at w.  Built,
-    not checked: check_star_morphism and is_star_isomorphism check it.
+    group: w goes to its row of p.conj_table, the symmetry at w.  So sigma
+    lifts that row back to w, the positions of eta_surj (_eta_images).
+    Built, not checked: check_star_morphism and is_star_isomorphism check
+    it.
     """
-    return make_star_morphism(round_trip, p, dict(zip(p.omega, p.conj_table.rows)))
+    return StarMorphism(round_trip, p, _eta_images(p, round_trip))
 
 
 @dataclass

@@ -9,24 +9,26 @@ it.  Two kinds of structure-preserving maps between pairs show up:
   homomorphism from the subgroup gamma generates onto the source whose
   restriction to gamma is a bijection onto the source omega.
 
-Both are stored as their values on the generators (omega, or gamma), which
-fix them, and every such value is an omega member.  So they are stored as
-omega positions: a SurjMorphism as one target position per source omega
-member, a StarMorphism as a dict from the target positions of gamma to
-source positions.  Composition chains those integers, and the backward
-functor reads them off, since point i of the conjugation quandle on omega
-is omega member i.  The values as permutations are read-only views
-(SurjMorphism.mapping, StarMorphism.proj), derived on first read.
-Permutations enter through make_surj_morphism and make_star_morphism,
-which refuse values outside omega, and the checks read them: extend_hom
-extends the values to a homomorphism of the group.  The checks extend
-from the values on a quandle generating set of omega or gamma, which
-generates the same group, and compare on the rest.  A star morphism's
-gamma is the set of its projection's keys, and the subgroup gamma
-generates is closed from it on first use.  Star morphisms compose back to
-front: the new subset is the part of the outer morphism's subset that
-projects into the inner one's, and the new projection is the chain of the
-two on it.
+Both are fixed by omega positions, one per source omega member.  A
+SurjMorphism is fixed by its values on the source omega and stores each as
+its target omega position.  A StarMorphism's projection restricts to a
+bijection gamma -> source omega, whose inverse sigma fixes it just as well;
+it stores sigma as the target omega position of each source omega member's
+lift, and gamma is the set of those positions.  So both flavors are the
+same tuple: composition chains it the same way, the identity is
+range(len(omega)), key() is the tuple, and the backward functor reads it
+off, since point i of the conjugation quandle on omega is omega member i.
+The values as permutations are read-only views (SurjMorphism.mapping,
+StarMorphism.proj), derived on first read.  Permutations enter through
+make_surj_morphism and make_star_morphism, which refuse what the positions
+cannot hold, and the checks read them: extend_hom extends the values to a
+homomorphism of the group.  The checks extend from the values on a
+quandle generating set of omega or gamma, which generates the same group,
+and compare on the rest.  The subgroup a star morphism's gamma generates
+is closed from it on first use.  Star morphisms compose back to front:
+the new subset is the part of the outer morphism's subset that projects
+into the inner one's, and the new projection is the chain of the two on
+it; in sigma that is the same chain as for surjective morphisms.
 
 The projection's inverse on gamma is an isomorphism of conjugation
 quandles from the source omega onto gamma, so enumerate_star_morphisms
@@ -135,8 +137,29 @@ def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
     return GenPair(group, tuple(om))
 
 
-@dataclass(eq=False)
-class SurjMorphism:
+@dataclass
+class _PositionMorphism:
+    """A morphism between pairs stored as images: one target omega position
+    per source omega member.  Two are equal when they are of one flavor
+    (the dataclass __eq__ compares only instances of one class) and their
+    pairs and positions agree; key() is the positions."""
+
+    source: GenPair
+    target: GenPair
+    images: tuple[int, ...]
+
+    def key(self) -> tuple[int, ...]:
+        """Hashable canonical form: the positions themselves."""
+        return self.images
+
+    @classmethod
+    def identity(cls, pair: GenPair):
+        """The identity morphism of pair, in the flavor cls: every position
+        to itself."""
+        return cls(pair, pair, tuple(range(len(pair.omega))))
+
+
+class SurjMorphism(_PositionMorphism):
     """A group homomorphism between pairs whose restriction maps omega onto
     omega, stored as images: its values on the source omega, which fix it,
     as target omega positions.  images[i] is the position in target.omega
@@ -144,27 +167,10 @@ class SurjMorphism:
     permutations, source omega member to target omega member, derived on
     first read.  make_surj_morphism builds one from permutations."""
 
-    source: GenPair
-    target: GenPair
-    images: tuple[int, ...]
-
     @cached_property
     def mapping(self) -> Mapping[Perm, Perm]:
         lam = self.target.omega
         return MappingProxyType({w: lam[a] for w, a in zip(self.source.omega, self.images)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SurjMorphism):
-            return NotImplemented
-        return (
-            self.images == other.images
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def key(self) -> tuple[int, ...]:
-        """Hashable canonical form of the values on omega."""
-        return self.images
 
     def is_injective(self) -> bool:
         """For a valid morphism: it maps onto the group the target omega
@@ -195,22 +201,27 @@ def make_surj_morphism(
     return SurjMorphism(source, target, tuple([pos[v] for v in values]))
 
 
-def identity_surj(pair: GenPair) -> SurjMorphism:
-    return SurjMorphism(pair, pair, tuple(range(len(pair.omega))))
+identity_surj = SurjMorphism.identity
 
 
-def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
-    """Composite of m1 then m2: each of m1's target positions read through
-    m2.  A position that m2 has no value at raises RuntimeError: the inputs
-    were not valid morphisms."""
+def _chain(m2: _PositionMorphism, m1: _PositionMorphism) -> tuple[int, ...]:
+    """The positions of m1 then m2, in either flavor: each of m1's target
+    positions read through m2.  A position that m2 has no value at raises
+    RuntimeError: the inputs were not valid morphisms."""
     if m1.target != m2.source:
         raise ValueError("morphisms are not composable")
     outer = m2.images
     try:
-        images = tuple([outer[i] for i in m1.images])
+        return tuple([outer[i] for i in m1.images])
     except IndexError:
         raise RuntimeError("a value of the inner morphism leaves the outer one's omega") from None
-    return SurjMorphism(m1.source, m2.target, images)
+
+
+def compose_surj(m2: SurjMorphism, m1: SurjMorphism) -> SurjMorphism:
+    """Composite of m1 then m2 (written back to front, like functions): the
+    positions chained by _chain, which raises RuntimeError on a position
+    m2 has no value at."""
+    return SurjMorphism(m1.source, m2.target, _chain(m2, m1))
 
 
 def check_surj_morphism(m: SurjMorphism) -> list[str]:
@@ -242,53 +253,36 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     return report
 
 
-@dataclass(eq=False)
-class StarMorphism:
+class StarMorphism(_PositionMorphism):
     """A backwards-partial morphism between pairs.
 
     Its projection is a homomorphism from the subgroup that gamma, a
     conjugation-stable subset of the target omega, generates onto the
     source group, whose values on gamma are a bijection gamma -> source
-    omega.  Those values fix it and are stored as images: the target omega
-    position of each member of gamma, mapped to the source omega position
-    of its value.  gamma is the keys, so it is not stored.  proj is the
-    same values as permutations, domain_omega lists gamma in canonical
-    order, and domain_group is the subgroup it generates; all three are
-    derived on first read.  domain_group lies inside the target group, so
-    a closure bounded by that group's order never raises.
-    make_star_morphism builds one from permutations.
+    omega.  Those values fix it, and so does their inverse sigma, which is
+    stored as images: images[i] is the target omega position of the member
+    of gamma that the projection sends to source.omega[i].  gamma is
+    set(images), so it is not stored.  proj is the projection's values as
+    permutations, domain_omega lists gamma in canonical order, and
+    domain_group is the subgroup it generates; all three are derived on
+    first read.  domain_group lies inside the target group, so a closure
+    bounded by that group's order never raises.  make_star_morphism builds
+    one from the projection's values.
     """
-
-    source: GenPair
-    target: GenPair
-    images: dict[int, int]
 
     @cached_property
     def proj(self) -> Mapping[Perm, Perm]:
-        lam, omega = self.target.omega, self.source.omega
-        return MappingProxyType({lam[a]: omega[i] for a, i in self.images.items()})
+        lam = self.target.omega
+        return MappingProxyType({lam[a]: w for w, a in zip(self.source.omega, self.images)})
 
     @cached_property
     def domain_omega(self) -> tuple[Perm, ...]:
         lam = self.target.omega
-        return tuple(lam[a] for a in sorted(self.images))
+        return tuple([lam[a] for a in sorted(set(self.images))])
 
     @cached_property
     def domain_group(self) -> PermGroup:
         return close_group(self.domain_omega, cap=len(self.target.group))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StarMorphism):
-            return NotImplemented
-        return (
-            self.images == other.images
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def key(self) -> frozenset:
-        """Hashable canonical form of the values on gamma."""
-        return frozenset(self.images.items())
 
     def proj_is_injective(self) -> bool:
         """For a valid morphism: proj maps onto the group the source omega
@@ -302,63 +296,71 @@ def make_star_morphism(
     """The StarMorphism whose projection has the given values on gamma,
     the set of proj's keys.
 
-    Values the stored positions cannot hold are refused with a ValueError
-    carrying the clause for that defect: "gamma:" for a key outside the
-    target omega, "homomorphism:" for a value outside the source group and
-    "bijectivity:" for one outside the source omega.  Everything else (an
-    empty or unstable gamma, values that do not extend to a homomorphism
-    or are no bijection onto the source omega) is left to
-    check_star_morphism.
+    Values sigma cannot hold are refused with a ValueError carrying the
+    clause for that defect: "gamma: empty subset" for no values, "gamma:"
+    for a key outside the target omega, "homomorphism:" for a value
+    outside the source group, "bijectivity:" for one outside the source
+    omega and for values that are no bijection onto the source omega.  An
+    unstable gamma and values that do not extend to a homomorphism are
+    left to check_star_morphism.
     """
     lam_pos, pos = target.omega_position, source.omega_position
+    if not proj:
+        raise ValueError("gamma: empty subset")
     if not all(g in lam_pos for g in proj):
         raise ValueError("gamma: subset is not contained in the target omega")
     if not all(v in pos for v in proj.values()):
         if not set(proj.values()) <= source.group.elements:
             raise ValueError("homomorphism: proj image leaves the source group")
         raise ValueError("bijectivity: proj carries the subset outside the source omega")
-    return StarMorphism(source, target, {lam_pos[g]: pos[v] for g, v in proj.items()})
+    sigma = {pos[v]: lam_pos[g] for g, v in proj.items()}
+    if len(sigma) != len(proj) or len(sigma) != len(pos):
+        raise ValueError("bijectivity: proj is not a bijection subset -> source omega")
+    return StarMorphism(source, target, tuple([sigma[i] for i in range(len(pos))]))
 
 
-def identity_star(pair: GenPair) -> StarMorphism:
-    return StarMorphism(pair, pair, {i: i for i in range(len(pair.omega))})
+identity_star = StarMorphism.identity
 
 
 def check_star_morphism(m: StarMorphism) -> list[str]:
     """Report of violated clauses, tagged by which requirement failed; empty
-    means the morphism is valid: gamma, the keys of proj, is a
-    conjugation-stable subset of the target omega, and proj on it is a
-    bijection onto the source omega that extends to a homomorphism.  A key
-    or value that is no omega position is outside the target or source
-    omega.
+    means the morphism is valid: gamma, the set of sigma's positions, is a
+    conjugation-stable subset of the target omega, and the projection,
+    sigma's inverse, is a bijection gamma -> source omega that extends to a
+    homomorphism.  A position that names no target omega member is outside
+    the target omega; an entry past the end of the source omega (a longer
+    sigma) is a value outside the source omega, and a shorter sigma misses
+    part of it.
 
     No group is closed.  One conjugation_basis pass over gamma gives both
     its stability (under the subgroup gamma generates, which is stability
     under a basis of gamma) and a quandle generating set; the homomorphism
-    is extended from the values there and compared with proj on the rest
-    of gamma.  That is exact for any gamma, stable or not, and any proj.
+    is extended from the projection's values there and compared with it
+    on the rest of gamma.  That is exact for any gamma, stable or not, and
+    any sigma: a repeated position, which the projection would send to two
+    values, extends to nothing.
     """
     report: list[str] = []
-    tgt = m.target
-    src = m.source
+    tgt, src = m.target, m.source
     lam, omega = tgt.omega, src.omega
-    if not m.images:
+    sigma = m.images
+    if not sigma:
         report.append("gamma: empty subset")
         return report
-    if not all(0 <= a < len(lam) for a in m.images):
+    if not all(0 <= a < len(lam) for a in sigma):
         report.append("gamma: subset is not contained in the target omega")
         return report
-    basis, stable = conjugation_basis(tgt.conj_table, sorted(m.images))
+    basis, stable = conjugation_basis(tgt.conj_table, sorted(sigma))
     if not stable:
         report.append("stability: subset is not conjugation-stable in the domain group")
-    if not all(0 <= i < len(omega) for i in m.images.values()):
+    if len(sigma) > len(omega):
         report.append("bijectivity: proj carries the subset outside the source omega")
         return report
-    hom = extend_hom([(lam[a], omega[m.images[a]]) for a in basis], tgt.degree, src.degree)
-    if hom is None or any(hom[lam[a]] != omega[i] for a, i in m.images.items()):
+    hom = extend_hom([(lam[a], omega[sigma.index(a)]) for a in basis], tgt.degree, src.degree)
+    if hom is None or any(hom[lam[a]] != w for w, a in zip(omega, sigma)):
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
-    if len(m.images) != len(omega) or len(set(m.images.values())) != len(omega):
+    if len(sigma) != len(omega):
         report.append("bijectivity: proj is not a bijection subset -> source omega")
     return report
 
@@ -366,19 +368,14 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
 def compose_star(m2: StarMorphism, m1: StarMorphism) -> StarMorphism:
     """Composite of m1 then m2 (written back to front, like functions).
 
-    The composite subset is the part of m2's subset projecting into m1's,
-    and the composite projection chains the two on it, position by
-    position; no group is closed.  The result is built, not checked:
-    check_star_morphism checks it.  An empty composite subset raises
-    RuntimeError, since it means the inputs were not valid morphisms.
+    sigma chains forwards as a surjective morphism's positions do: each
+    source omega member's lift into m1's gamma, lifted again through m2.
+    So the composite subset is the part of m2's subset projecting into
+    m1's, and its projection is the chain of the two; no group is closed.
+    A position m2 has no value at raises RuntimeError, as in compose_surj.
+    The result is built, not checked: check_star_morphism checks it.
     """
-    if m1.target != m2.source:
-        raise ValueError("morphisms are not composable")
-    inner = m1.images
-    images = {g: inner[v] for g, v in m2.images.items() if v in inner}
-    if not images:
-        raise RuntimeError("composite subset is empty; inputs were not valid")
-    return StarMorphism(m1.source, m2.target, images)
+    return StarMorphism(m1.source, m2.target, _chain(m2, m1))
 
 
 def is_star_isomorphism(m: StarMorphism) -> bool:
@@ -560,7 +557,7 @@ def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
                 assert all(hom[lam[sigma[x]]] == omega[x] for x in range(k))
                 gamma = sorted(sigma)
                 key = (gamma, [preimage[a] for a in gamma])
-                found.append((key, StarMorphism(src, tgt, {sigma[x]: x for x in range(k)})))
+                found.append((key, StarMorphism(src, tgt, tuple(sigma))))
             return
         depth = len(gens) + 1
         require_recursion_depth(depth, "star morphism search over %d generators" % depth)

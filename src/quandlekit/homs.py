@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grpgen import StarMorphism, SurjMorphism, make_star_morphism, make_surj_morphism
+from .grpgen import StarMorphism, SurjMorphism
 from .perm import perm_order, require_recursion_depth
-from .quandle import GenPair, Quandle, check_axioms, is_faithful
+from .quandle import GenPair, Quandle, is_faithful
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
 MODE_WORDS = {
@@ -139,7 +139,8 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     last of x, y and x |> y is placed.
 
     Which instances are checked depends on one flag: whether both tables
-    are quandles (check_axioms finds nothing).  Lemma: in a quandle
+    are quandles (Quandle.violations, check_axioms' verdict kept with the
+    quandle, is empty).  Lemma: in a quandle
     s_{x|>y} = s_x s_y s_x^-1 (Q3, with Q2 for the inverse), so a map with
     f s_x = s_{f(x)} f, f s_y = s_{f(y)} f and f(x |> y) = f(x) |> f(y)
     also has f s_{x|>y} = s_{f(x|>y)} f.  Every block point is placed by
@@ -178,7 +179,7 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     position = [0] * n1
     for k, p in enumerate(order):
         position[p] = k
-    quandles = not check_axioms(q1) and not check_axioms(q2)
+    quandles = not q1.violations and not q2.violations
     generators = {g for g, _ in blocks}
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
     for x in range(n1):
@@ -254,32 +255,40 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     return out
 
 
-def _require_valid(f: QuandleHom) -> None:
+def _omega_images(f: QuandleHom, p1: GenPair, p2: GenPair) -> tuple[int, ...]:
+    """The omega positions of the group-side morphism f induces, in both
+    flavors: images[pos1(s_y)] = pos2(s_{f(y)}), where pos1 and pos2 are
+    the omega positions of p1 and p2, inn() of f's source and target.
+    ValueError for a non-hom f, an unfaithful source or target, or a pair
+    whose omega is not its quandle's symmetries."""
     if check_hom(f):
         raise ValueError("not a quandle homomorphism")
-
-
-def _require_faithful(f: QuandleHom) -> None:
     if not is_faithful(f.source) or not is_faithful(f.target):
         raise ValueError("induced maps need faithful source and target")
+    pos1, pos2 = p1.omega_position, p2.omega_position
+    t1, t2 = f.source.table, f.target.table
+    try:
+        placed = sorted([(pos1[t1[y]], pos2[t2[v]]) for y, v in enumerate(f.mapping)])
+    except KeyError:
+        placed = []
+    if len(placed) != len(pos1):
+        raise ValueError("the pairs' omegas are not the symmetries of f's source and target")
+    return tuple([a for _, a in placed])
 
 
 def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
     """The group map between inner groups induced by a surjective homomorphism.
 
     p1 and p2 are inn() of f's source and target.  The map sends the
-    symmetry s_x to s_{f(x)}, the defining equation f s_x = s_{f(x)} f read
-    on the generators.  f itself is validated (a ValueError for a non-hom,
-    a non-surjective or an unfaithful one), and so are the values' places
-    in the two omegas (make_surj_morphism); the result is built, not
-    checked: check_surj_morphism checks it.
+    symmetry s_y to s_{f(y)}, the defining equation f s_y = s_{f(y)} f read
+    on the generators, so its positions are _omega_images, which also
+    validates f and the pairs; a non-surjective f is a ValueError too.
+    The result is built, not checked: check_surj_morphism checks it.
     """
-    _require_valid(f)
-    _require_faithful(f)
+    images = _omega_images(f, p1, p2)
     if not f.is_surjective():
         raise ValueError("f is not surjective")
-    t1, t2 = f.source.table, f.target.table
-    return make_surj_morphism(p1, p2, {t1[y]: t2[v] for y, v in enumerate(f.mapping)})
+    return SurjMorphism(p1, p2, images)
 
 
 def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
@@ -287,17 +296,16 @@ def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
 
     p1 and p2 are inn() of f's source and target.  The subset gamma is
     the symmetries at image points, and the projection sends s_{f(y)} back
-    to s_y, from f s_y = s_{f(y)} f; those values are the whole morphism,
-    so no group is closed.  f and the values' places in the two omegas
-    are validated as in induced_surjective (make_star_morphism); the
-    result is built, not checked: check_star_morphism checks it.
+    to s_y, from f s_y = s_{f(y)} f.  Its inverse sigma lifts s_y to
+    s_{f(y)}: the positions of induced_surjective, _omega_images, which
+    also validates f and the pairs; a non-injective f is a ValueError too.
+    No group is closed.  The result is built, not checked:
+    check_star_morphism checks it.
     """
-    _require_valid(f)
-    _require_faithful(f)
+    images = _omega_images(f, p1, p2)
     if not f.is_injective():
         raise ValueError("f is not injective")
-    t1, t2 = f.source.table, f.target.table
-    return make_star_morphism(p1, p2, {t2[v]: t1[y] for y, v in enumerate(f.mapping)})
+    return StarMorphism(p1, p2, images)
 
 
 def homs_to_dict(q1: Quandle, q2: Quandle, mode: str, homs: Sequence[QuandleHom]) -> dict:

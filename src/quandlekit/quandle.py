@@ -9,13 +9,15 @@ symmetry at x: ``table[x][y]`` is the image of y under it.  The axioms are
 
 so a valid row doubles as a permutation tuple and can be fed straight into
 the perm module.  Tables that break the axioms are still constructible;
-check_axioms reports exactly which instances fail.
+check_axioms reports exactly which instances fail, and Quandle.violations
+keeps its report with the quandle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -67,6 +69,12 @@ class Quandle:
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """check_axioms(self), computed on first read and kept: the table
+        never changes, so each quandle is checked once."""
+        return tuple(check_axioms(self))
 
 
 def check_axioms(q: Quandle) -> list[Violation]:

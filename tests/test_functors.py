@@ -12,7 +12,6 @@ from quandlekit import (
     G_inj_mor,
     G_surj_mor,
     QuandleHom,
-    StarMorphism,
     check_hom,
     check_star_morphism,
     check_surj_morphism,
@@ -550,14 +549,14 @@ def _then(transform):
 
 
 def _positions(m):
-    """A group-side morphism's stored values as a dict of omega positions."""
-    return dict(m.images) if isinstance(m, StarMorphism) else dict(enumerate(m.images))
+    """A group-side morphism's stored positions as a dict, source omega
+    position to target omega position, in both flavors."""
+    return dict(enumerate(m.images))
 
 
 def _with_positions(m, graph):
-    """m with its stored values replaced by graph (from _positions)."""
-    images = graph if isinstance(m, StarMorphism) else tuple(graph[i] for i in range(len(graph)))
-    return dataclasses.replace(m, images=images)
+    """m with its stored positions replaced by graph (from _positions)."""
+    return dataclasses.replace(m, images=tuple(graph[i] for i in range(len(graph))))
 
 
 def _corrupted(m):
@@ -639,9 +638,9 @@ def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, ma
 def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypatch, mode):
     # only the forward images between round trips are corrupted: eta
     # naturality composes them with eta unchecked.  One generator value
-    # becomes a position past omega, which is no generator; the surjective
-    # composite raises RuntimeError on it and the star composite carries
-    # it, and either way the law is recorded as failing, not raised
+    # becomes a position past the target omega, which is no generator; in
+    # both flavors the composite raises RuntimeError on it, and the law is
+    # recorded as failing, not raised
     pairs = []  # every pair to_pair builds: R5's, then its round trip's
     real_to_pair = functors.to_pair
 
@@ -654,9 +653,8 @@ def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypat
             m = orig(f, source_pair, target_pair)
             if source_pair is not pairs[1]:
                 return m
-            values_in = m.source if mode == "injective" else m.target
             graph = _positions(m)
-            graph[max(graph)] = len(values_in.omega)
+            graph[max(graph)] = len(m.target.omega)
             return _with_positions(m, graph)
 
         return fake
@@ -665,8 +663,7 @@ def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypat
     _patch(monkeypatch, mode, "forward", off_generators)
     report = verify_equivalence([dihedral(5)], mode, names=["r5"])
     assert [r.check for r in report.failures] == ["eta_naturality"], report.summary()
-    if mode == "surjective":
-        assert "leaves the outer" in report.failures[0].detail
+    assert "leaves the outer" in report.failures[0].detail
 
 
 def _assert_trusted(f):
@@ -727,3 +724,31 @@ def test_compositions_and_backward_maps_match_the_slow_oracle(mode):
             _assert_trusted(h)
             seen += 1
     assert seen > 1000
+
+
+def test_both_flavors_store_the_same_positions():
+    # a bijective hom induces one position tuple in either flavor: the
+    # surjective map's values and the star morphism's sigma, the inverse of
+    # its projection; so the backward functors agree on them too.  Every
+    # enumerated star morphism's proj inverts sigma, and its domain_omega
+    # lists set(sigma) in order
+    quandles = [q for n in range(1, 5) for q in iso_class_representatives(n) if is_faithful(q)]
+    quandles += [dihedral(5), dihedral(9)]
+    pairs = [inn(q) for q in quandles]
+    conjs = [to_quandle(p) for p in pairs]
+    bijective = stars = 0
+    for i, j in itertools.product(range(len(quandles)), repeat=2):
+        p1, p2 = pairs[i], pairs[j]
+        if quandles[i].n == quandles[j].n:
+            for f in enumerate_homs(quandles[i], quandles[j], "injective"):
+                star, surj = F_inj_mor(f, p1, p2), F_surj_mor(f, p1, p2)
+                assert star.images == surj.images
+                assert G_inj_mor(star, conjs[i], conjs[j]) == G_surj_mor(surj, conjs[i], conjs[j])
+                bijective += 1
+        for m in enumerate_star_morphisms(p1, p2):
+            sigma = m.images
+            assert len(m.proj) == len(sigma) == len(p1.omega)
+            assert all(m.proj[p2.omega[a]] == p1.omega[x] for x, a in enumerate(sigma))
+            assert m.domain_omega == tuple(p2.omega[a] for a in sorted(set(sigma)))
+            stars += 1
+    assert bijective > 50 and stars > bijective

@@ -131,15 +131,19 @@ def test_constructors_from_values_refuse_what_positions_cannot_hold():
     ):
         with pytest.raises(ValueError, match="^" + clause):
             make_surj_morphism(p3, p3, mapping)
+    # sigma, the inverse of the projection, holds no empty projection and
+    # none that is no bijection onto the source omega
+    not_bijective = "bijectivity: proj is not a bijection subset -> source omega"
     for proj, clause in (
         ({p9.group.identity: p3.omega[0]}, "gamma: subset is not contained in the target omega"),
         ({r9: r9}, "homomorphism: proj image leaves the source group"),
         ({r9: e3}, "bijectivity: proj carries the subset outside the source omega"),
+        ({}, "gamma: empty subset"),
+        ({r9: p3.omega[0]}, not_bijective),
+        ({p9.omega[a]: p3.omega[0] for a in (0, 3, 6)}, not_bijective),
     ):
         with pytest.raises(ValueError, match="^" + clause + "$"):
             make_star_morphism(p3, p9, proj)
-    # an empty projection is held, and the check reports it
-    assert check_star_morphism(make_star_morphism(p3, p9, {})) == ["gamma: empty subset"]
     for m in enumerate_surj_morphisms(p9, p3) + enumerate_surj_morphisms(p3, p3):
         assert make_surj_morphism(m.source, m.target, m.mapping) == m
     for m in enumerate_star_morphisms(p3, p9) + enumerate_star_morphisms(p3, p3):
@@ -160,15 +164,24 @@ def test_checks_report_positions_outside_omega():
         ((0, 0, 0), "omega surjectivity: restriction does not cover target omega"),
     ):
         assert check_surj_morphism(SurjMorphism(p3, p3, images)) == [clause]
+    # sigma: a position past either end of the target omega; a longer sigma,
+    # whose extra entry is a subset member projecting past the source
+    # omega; a shorter one, which misses part of the source omega; and a
+    # repeated position, which the projection would send to two values
     m = enumerate_star_morphisms(p3, p9)[0]
-    a = min(m.images)
-    for images, clause in (
-        ({**m.images, 9: 0}, "gamma: subset is not contained in the target omega"),
-        ({**m.images, -1: 0}, "gamma: subset is not contained in the target omega"),
-        ({**m.images, a: 3}, "bijectivity: proj carries the subset outside the source omega"),
-        ({**m.images, a: -1}, "bijectivity: proj carries the subset outside the source omega"),
+    sigma = m.images
+    unstable = "stability: subset is not conjugation-stable in the domain group"
+    for images, clauses in (
+        ((9,) + sigma[1:], ["gamma: subset is not contained in the target omega"]),
+        ((-1,) + sigma[1:], ["gamma: subset is not contained in the target omega"]),
+        (sigma + sigma[:1], ["bijectivity: proj carries the subset outside the source omega"]),
+        (sigma[:2], [unstable, "bijectivity: proj is not a bijection subset -> source omega"]),
+        (
+            sigma[:1] + sigma[:1] + sigma[2:],
+            [unstable, "homomorphism: the values on the subset do not extend to a homomorphism"],
+        ),
     ):
-        assert check_star_morphism(StarMorphism(p3, p9, images)) == [clause]
+        assert check_star_morphism(StarMorphism(p3, p9, images)) == clauses
 
 
 def test_permutation_views_are_derived_read_only_and_keys_are_positions():
@@ -177,14 +190,16 @@ def test_permutation_views_are_derived_read_only_and_keys_are_positions():
     assert surj.mapping == {w: p3.omega[a] for w, a in zip(p9.omega, surj.images)}
     assert surj.mapping is surj.mapping and surj.key() == surj.images
     star = enumerate_star_morphisms(p3, p9)[0]
-    assert star.proj == {p9.omega[a]: p3.omega[i] for a, i in star.images.items()}
-    assert star.proj is star.proj and star.key() == frozenset(star.images.items())
+    assert star.proj == {p9.omega[a]: p3.omega[i] for i, a in enumerate(star.images)}
+    assert star.proj is star.proj and star.key() == star.images
     assert star.domain_omega == tuple(p9.omega[a] for a in sorted(star.images))
     for view in (surj.mapping, star.proj):
         with pytest.raises(TypeError):
             view[next(iter(view))] = p3.group.identity
     assert identity_surj(p3).images == (0, 1, 2)
-    assert identity_star(p3).images == {0: 0, 1: 1, 2: 2}
+    assert identity_star(p3).images == (0, 1, 2)
+    # one flavor never equals the other, even on the same positions
+    assert identity_star(p3) != identity_surj(p3)
 
 
 def test_morphism_checks_accept_exactly_the_bijections_that_extend():
@@ -234,26 +249,34 @@ def test_surj_check_extends_exactly_when_the_oracle_does():
 
 def test_star_check_extends_exactly_when_the_oracle_does():
     # every map of a subset gamma of the target omega, stable or not, into
-    # the source omega, bijective or not; the stability clause agrees with
-    # conjugation by the whole group gamma generates
+    # the omega of a source of 1, 2 or 3 members: the bijections are checked,
+    # and the check's homomorphism clause agrees with extending from all of
+    # gamma and its stability clause with conjugation by the whole group
+    # gamma generates; the constructor refuses every other map, which sigma
+    # cannot hold
     s3 = symmetric_group(3)
     targets = [inn(dihedral(5)), inn(dihedral(9)), inn(conjugation_quandle(s3, s3.sorted_elements()))]
-    src = inn(dihedral(3))
-    stable_seen = unstable_seen = rejected = 0
-    for tgt in targets:
-        for size in range(1, len(src.omega) + 1):
-            for gamma in itertools.combinations(tgt.omega, size):
-                stable = conjugation_stable(gamma)
-                for images in itertools.product(src.omega, repeat=size):
-                    report = check_star_morphism(make_star_morphism(src, tgt, dict(zip(gamma, images))))
-                    tags = clause_tags(report)
-                    extends = extends_to_hom(gamma, images) is not None
-                    assert ("homomorphism" in tags) != extends, (gamma, images, report)
-                    assert ("stability" in tags) != stable, (gamma, report)
-                    rejected += not extends
-                stable_seen += stable
-                unstable_seen += not stable
-    assert stable_seen and unstable_seen and rejected
+    sources = [make_genpair(close_group([(0,)]), [(0,)]), make_genpair(s3, all_transpositions(3)[:2])]
+    sources.append(inn(dihedral(3)))
+    stable_seen = unstable_seen = rejected = refused = 0
+    for tgt, src in itertools.product(targets, sources):
+        for gamma in itertools.combinations(tgt.omega, len(src.omega)):
+            stable = conjugation_stable(gamma)
+            for images in itertools.product(src.omega, repeat=len(gamma)):
+                proj = dict(zip(gamma, images))
+                if len(set(images)) < len(images):
+                    with pytest.raises(ValueError, match="^bijectivity: proj is not a bijection"):
+                        make_star_morphism(src, tgt, proj)
+                    refused += 1
+                    continue
+                tags = clause_tags(check_star_morphism(make_star_morphism(src, tgt, proj)))
+                extends = extends_to_hom(gamma, images) is not None
+                assert ("homomorphism" in tags) != extends, (gamma, images, tags)
+                assert ("stability" in tags) != stable, (gamma, tags)
+                rejected += not extends
+            stable_seen += stable
+            unstable_seen += not stable
+    assert stable_seen and unstable_seen and rejected and refused
 
 
 def test_surj_enumeration_matches_the_ordered_brute_force():
@@ -331,7 +354,7 @@ def test_star_check_rejects_unstable_gamma():
     p3, p9 = refl_pair(3), refl_pair(9)
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])  # conjugation closure fails: 2*1-2 = 0 but 2*2-1 = 3
-    m = StarMorphism(p3, p9, {p9.omega_position[g]: 0 for g in gamma})
+    m = StarMorphism(p3, p9, tuple(p9.omega_position[g] for g in gamma))
     clauses = check_star_morphism(m)
     assert any("stab" in c or "conj" in c for c in clauses)
 
@@ -585,7 +608,7 @@ def test_star_check_and_composition_close_no_group(monkeypatch):
     p3, p9 = refl_pair(3), refl_pair(9)
     ms = enumerate_star_morphisms(p3, p9)
     endos = enumerate_star_morphisms(p3, p3)
-    bad = StarMorphism(p3, p9, {p9.omega_position[g]: 0 for g in dihedral_reflections(9)[:3]})
+    bad = StarMorphism(p3, p9, tuple(p9.omega_position[g] for g in dihedral_reflections(9)[:3]))
     calls = counted_closures(monkeypatch)
     comps = [compose_star(m, e) for m in ms for e in endos]
     comps += [compose_star(identity_star(p9), m) for m in ms]
@@ -625,17 +648,20 @@ def test_star_check_reports_each_one_field_variant():
     m = enumerate_star_morphisms(p3, p9)[0]
     assert check_star_morphism(m) == []
 
-    # the value at the first member of gamma moved to another source omega
-    # position; the identity instead is refused by the constructor from
-    # values, since it is no omega member
-    h = min(m.images)
-    bad_proj = StarMorphism(p3, p9, {**m.images, h: (m.images[h] + 1) % len(p3.omega)})
+    # the first member of gamma lifts the second source omega member too,
+    # so the projection sends it to two values; the identity as a value
+    # instead is refused by the constructor from values, since it is no
+    # omega member
+    h = m.images[0]
+    bad_proj = StarMorphism(p3, p9, (h, h) + m.images[2:])
     with pytest.raises(ValueError, match="bijectivity: proj carries the subset outside the source omega"):
         make_star_morphism(p3, p9, {**m.proj, p9.omega[h]: p3.group.identity})
+    # a source with a larger omega: the projection misses part of it, which
+    # sigma cannot hold, so the constructor refuses it; the check reports
+    # a sigma too short for the source omega (test above)
     s3 = dihedral_group(3)
-    bad_source = make_star_morphism(
-        make_genpair(s3, [x for x in s3.sorted_elements() if x != s3.identity]), p9, m.proj
-    )
+    with pytest.raises(ValueError, match="^bijectivity: proj is not a bijection subset -> source omega$"):
+        make_star_morphism(make_genpair(s3, [x for x in s3.sorted_elements() if x != s3.identity]), p9, m.proj)
     # a target with another omega, which leaves out the subset: its two
     # positions cannot hold three distinct members of gamma, and the
     # constructor from values refuses the subset
@@ -648,7 +674,6 @@ def test_star_check_reports_each_one_field_variant():
 
     for bad, clause in (
         (bad_proj, "homomorphism:"),
-        (bad_source, "bijectivity:"),
         (bad_target, "gamma: subset is not contained in the target omega"),
     ):
         report = check_star_morphism(bad)
@@ -660,7 +685,7 @@ def test_star_check_failing_report_is_stable():
     p3, p9 = refl_pair(3), refl_pair(9)
     refl = dihedral_reflections(9)
     gamma = (refl[0], refl[1], refl[2])
-    m = StarMorphism(p3, p9, {p9.omega_position[g]: 0 for g in gamma})
+    m = StarMorphism(p3, p9, tuple(p9.omega_position[g] for g in gamma))
     first = check_star_morphism(m)
     assert first
     assert check_star_morphism(m) == first

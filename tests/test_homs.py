@@ -9,6 +9,7 @@ from quandlekit import (
     Quandle,
     QuandleHom,
     alexander_quandle,
+    check_axioms,
     check_hom,
     check_star_morphism,
     check_surj_morphism,
@@ -137,7 +138,7 @@ NOT_Q3 = {"source": _swapped(dihedral(5), 2, 3, 4), "target": _swapped(dihedral(
 def test_tables_that_break_only_q3_get_every_instance_checked(side, monkeypatch):
     bad = NOT_Q3[side]
     q1, q2 = (bad, dihedral(5)) if side == "source" else (dihedral(5), bad)
-    violations = homs.check_axioms(bad)
+    violations = check_axioms(bad)
     assert violations and {kind for kind, _ in violations} == {"Q3"}
     # some map keeps every instance in a generator's row and column, and
     # every instance its generators' blocks place by, yet is not a hom
@@ -402,3 +403,26 @@ def test_induced_maps_match_word_evaluation():
             assert set(m.domain_omega) == {q2.table[v] for v in f.mapping}
             seen["injective"] += 1
     assert seen["surjective"] > 0 and seen["injective"] > 0
+
+
+def test_each_quandle_is_checked_for_axioms_once(monkeypatch, tmp_path, capsys):
+    # the verdict is kept with the quandle: two searches on the same
+    # quandles check each table once, and the CLI's homs checks each file
+    # once, where it loads it
+    from quandlekit import quandle, quandle_to_text
+    from quandlekit.cli import main
+
+    checked = []
+    real = quandle.check_axioms
+    monkeypatch.setattr(quandle, "check_axioms", lambda q: checked.append(q) or real(q))
+    r3, r9 = dihedral(3), dihedral(9)
+    for _ in range(2):
+        assert len(enumerate_homs(r3, r9, "injective")) == 18
+    assert len(enumerate_homs(r9, r3)) > 0
+    assert len(checked) == 2 and checked[0] is r3 and checked[1] is r9
+    del checked[:]
+    for name, q in (("r3", r3), ("r9", r9)):
+        (tmp_path / name).write_text(quandle_to_text(q))
+    assert main(["homs", str(tmp_path / "r3"), str(tmp_path / "r9"), "--mode", "inj"]) == 0
+    assert capsys.readouterr().out.startswith("count: 18")
+    assert len(checked) == 2
