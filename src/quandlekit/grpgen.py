@@ -30,11 +30,16 @@ the new subset is the part of the outer morphism's subset that projects
 into the inner one's, and the new projection is the chain of the two on
 it; in sigma that is the same chain as for surjective morphisms.
 
-The projection's inverse on gamma is an isomorphism of conjugation
-quandles from the source omega onto gamma, so enumerate_star_morphisms
-searches those isomorphisms from their values on a quandle generating set
-of the source omega; no subset of the target omega is searched.  It and
-the checks read conjugates of omega members from GenPair.conj_table.
+Both enumerators are one search over sigma, _sigma_search.  A surjective
+morphism's values on omega are a homomorphism of conjugation quandles from
+the source omega onto the target omega, and a star morphism's sigma is an
+isomorphism of conjugation quandles from the source omega onto gamma.
+Either is fixed by its values on a quandle generating set of the source
+omega, so the search branches on those and propagates the rest; the two
+flavors differ only in whether values may repeat, which way element orders
+divide and which way the homomorphism at each leaf is extended.  No subset
+of the target omega is searched.  The search and the checks read
+conjugates of omega members from GenPair.conj_table.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .perm import (
     DEFAULT_CAP,
@@ -62,7 +67,7 @@ from .perm import (
     require_recursion_depth,
 )
 
-# Assignments enumerate_star_morphisms may try before it gives up.
+# Assignments one _sigma_search may try before it gives up.
 SUBSET_CAP = 1_000_000
 
 
@@ -417,131 +422,116 @@ def extend_hom(
     return hom
 
 
-def _extension_search(
-    gens: list[Perm],
-    candidates: list[Perm],
-    domain_degree: int,
-    image_degree: int,
-) -> Iterator[dict[Perm, Perm]]:
-    """Yield every homomorphism of <gens> sending each generator into candidates.
+def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm]]:
+    """All group homomorphisms src -> tgt, as explicit mapping dicts, by
+    assigning images of the generators in the target's canonical order.
 
-    Generators already forced by earlier assignments (they lie in the closure
-    of the prefix) are not branched over; their forced image must still land
-    in the candidate set.  A candidate u is tried for a generator g only when
-    the order of u divides that of g: a homomorphism sends g^ord(g) = e to
-    u^ord(g) = e, so extend_hom would reject every other u.  Enumeration
-    order follows the candidate list, so the output is deterministic.  The
-    search recurses once per generator; too many generators for the
-    interpreter's stack raise CapExceeded.
+    A generator already forced by earlier assignments (it lies in the
+    subgroup they generate) is not branched over.  An image u is tried for
+    a generator g only when the order of u divides that of g: a
+    homomorphism sends g^ord(g) = e to u^ord(g) = e, so extend_hom would
+    reject every other u.  The search recurses once per generator; too many
+    generators for the interpreter's stack raise CapExceeded.
     """
+    gens = list(dict.fromkeys(src.generators))
     require_recursion_depth(len(gens), "extension search over %d generators" % len(gens))
-    candidate_set = set(candidates)
+    candidates = tgt.sorted_elements()
     order = {p: perm_order(p) for p in (*gens, *candidates)}
+    out: list[dict[Perm, Perm]] = []
 
-    def rec(
-        i: int, pairs: list[tuple[Perm, Perm]], hom: dict[Perm, Perm]
-    ) -> Iterator[dict[Perm, Perm]]:
+    def rec(i: int, pairs: list[tuple[Perm, Perm]], hom: dict[Perm, Perm]) -> None:
         if i == len(gens):
-            yield hom
+            assert set(hom) == src.elements
+            out.append(hom)
             return
         g = gens[i]
-        forced = hom.get(g)
-        if forced is not None:
-            if forced in candidate_set:
-                yield from rec(i + 1, pairs, hom)
+        if g in hom:
+            rec(i + 1, pairs, hom)
             return
         for u in candidates:
             if order[g] % order[u]:
                 continue
             pairs2 = pairs + [(g, u)]
-            hom2 = extend_hom(pairs2, domain_degree, image_degree)
+            hom2 = extend_hom(pairs2, src.degree, tgt.degree)
             if hom2 is not None:
-                yield from rec(i + 1, pairs2, hom2)
+                rec(i + 1, pairs2, hom2)
 
-    start = extend_hom([], domain_degree, image_degree)
-    assert start is not None
-    yield from rec(0, [], start)
-
-
-def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm]]:
-    """All group homomorphisms src -> tgt, as explicit mapping dicts, by
-    assigning images of the generators in the target's canonical order;
-    images whose order does not divide the generator's are not tried."""
-    gens = list(dict.fromkeys(src.generators))
-    out = []
-    for hom in _extension_search(gens, tgt.sorted_elements(), src.degree, tgt.degree):
-        assert set(hom) == src.elements
-        out.append(hom)
+    rec(0, [], {identity(src.degree): identity(tgt.degree)})
     return out
 
 
-def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
-    """All SurjMorphisms src -> tgt, by assigning images of omega and extending.
+def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int, ...]]:
+    """Every sigma, one target omega position per source omega member, of
+    a morphism src -> tgt: surjective (injective False) or star (True).
 
-    A homomorphism is pinned down by its values on omega since omega
-    generates; each consistent assignment inside the target omega is kept
-    when the restriction covers all of it.  Only images whose order divides
-    the generator's are tried, which leaves the output and its order as
-    they would be without that cut.  A smaller source omega has none.
-    """
-    if len(src.omega) < len(tgt.omega):
-        return []
-    pos = tgt.omega_position
-    out = []
-    for hom in _extension_search(list(src.omega), list(tgt.omega), src.degree, tgt.degree):
-        images = tuple([pos[hom[w]] for w in src.omega])
-        if len(set(images)) != len(pos):
-            continue
-        assert set(hom) == src.group.elements
-        out.append(SurjMorphism(src, tgt, images))
-    return out
-
-
-def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
-    """All StarMorphisms src -> tgt, in canonical order, duplicate free.
-
-    sigma = (proj on gamma)^-1 is an isomorphism of conjugation quandles
-    from the source omega onto gamma, so its values on a quandle generating
-    set Q fix it.  Q grows with the search: its next member is the first
-    point sigma does not reach yet, most moved points first, since those
-    pin the most.  Each branch sends it to an unused target omega member and
-    extends sigma by sigma(x |> y) = sigma(x) |> sigma(y), read from the
-    pairs' conj_tables; it dies when such a conjugate leaves the target
-    omega, clashes with sigma or repeats one of its values.  A complete
-    sigma is kept when its values on Q extend to a homomorphism, which then
-    agrees with sigma^-1 on all of gamma.  The output is sorted by gamma's
-    positions in the target omega, then by the source positions of proj's
-    values in gamma order.  A source omega not closed under its own
-    conjugation has no morphisms.  Trying more than SUBSET_CAP assignments,
-    or a Q deeper than the interpreter's stack allows, raises CapExceeded.
+    sigma is a homomorphism of conjugation quandles from the source omega
+    onto the target omega (surjective), or an isomorphism onto its image
+    gamma (star), so its values on a quandle generating set Q fix it.  Q
+    grows with the search: its next member q is the first point sigma does
+    not reach yet, most moved points first, since those pin the most.  Each
+    branch sends q to a target omega member a whose order ord(a) divides
+    ord(q) (surjective: g^n = e carries to sigma(g)^n = e) or is divided by
+    it (star: the projection sends a to q), and extends sigma by
+    sigma(x |> y) = sigma(x) |> sigma(y), read from the pairs' conj_tables.
+    A source entry outside the source omega constrains nothing.  A branch
+    dies when such a conjugate leaves the target omega or clashes with
+    sigma, or when a value repeats with no slack left: a surjective sigma
+    may repeat k - m values to cover m target members from k, a star sigma
+    none.  A complete sigma with no slack left is kept when its values on Q
+    extend to a homomorphism, from the source group (surjective) or to it
+    (star, sigma inverted); that homomorphism then agrees with sigma on
+    all of omega.  Surjective output is sorted by sigma; star output by
+    gamma's positions, then by the source positions of the projection's
+    values in gamma order.  A smaller source omega has no surjective
+    morphism, and a larger one, or one not closed under its own
+    conjugation, no star morphism.  Trying more than SUBSET_CAP
+    assignments, or a Q deeper than the interpreter's stack allows,
+    raises CapExceeded.
     """
     omega, lam = src.omega, tgt.omega
     k, m = len(omega), len(lam)
-    if k > m:
+    if k > m if injective else k < m:
         return []
     table, target_table = src.conj_table.rows, tgt.conj_table
-    if any(-1 in row for row in table):
+    if injective and any(-1 in row for row in table):
         return []
+    word = "star" if injective else "surjective"
+    step, degrees = (-1, (tgt.degree, src.degree)) if injective else (1, (src.degree, tgt.degree))
+    src_order, tgt_order = [perm_order(w) for w in omega], [perm_order(w) for w in lam]
     order = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
     sigma, preimage = [-1] * k, [-1] * m
     assigned: list[int] = []
-    found: list[tuple[tuple[list[int], list[int]], StarMorphism]] = []
-    tried = 0
+    found: list[tuple[int, ...]] = []
+    tried, slack = 0, 0 if injective else k - m
 
     def assign(q: int, a: int) -> bool:
         # sigma(q) = a, then each ordered pair of assigned points is checked
-        # once, when the later of the two is reached; x |> x = x needs none
-        sigma[q], preimage[a] = a, q
+        # once, when the later of the two is reached; x |> x = x needs none.
+        # preimage[c] is the first point sent to c; later ones spend slack
+        nonlocal slack
+        sigma[q] = a
+        if preimage[a] == -1:
+            preimage[a] = q
+        else:
+            slack -= 1
         assigned.append(q)
         i = len(assigned) - 1
         while i < len(assigned):
             x = assigned[i]
             for y in assigned[:i]:
                 for u, v in ((x, y), (y, x)):
-                    c = target_table[sigma[u], sigma[v]]
                     z = table[u][v]
-                    if c >= 0 and sigma[z] == -1 and preimage[c] == -1:
-                        sigma[z], preimage[c] = c, z
+                    if z < 0:
+                        continue
+                    c = target_table[sigma[u], sigma[v]]
+                    if c >= 0 and sigma[z] == -1:
+                        if preimage[c] == -1:
+                            preimage[c] = z
+                        elif slack:
+                            slack -= 1
+                        else:
+                            return False
+                        sigma[z] = c
                         assigned.append(z)
                     elif c < 0 or sigma[z] != c:
                         return False
@@ -549,38 +539,54 @@ def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
         return True
 
     def search(gens: list[int]) -> None:
-        nonlocal tried
+        nonlocal tried, slack
         if len(assigned) == k:
-            pairs = [(lam[sigma[q]], omega[q]) for q in gens]
-            hom = extend_hom(pairs, tgt.degree, src.degree)
-            if hom is not None:
-                assert all(hom[lam[sigma[x]]] == omega[x] for x in range(k))
-                gamma = sorted(sigma)
-                key = (gamma, [preimage[a] for a in gamma])
-                found.append((key, StarMorphism(src, tgt, tuple(sigma))))
+            if not slack:
+                pairs = [(omega[q], lam[sigma[q]])[::step] for q in gens]
+                if extend_hom(pairs, *degrees) is not None:
+                    found.append(tuple(sigma))
             return
         depth = len(gens) + 1
-        require_recursion_depth(depth, "star morphism search over %d generators" % depth)
+        require_recursion_depth(depth, "%s morphism search over %d generators" % (word, depth))
         q = next(x for x in order if sigma[x] == -1)
-        mark = len(assigned)
+        oq = src_order[q]
+        mark, spare = len(assigned), slack
         for a in range(m):
-            if preimage[a] != -1:
+            if (preimage[a] != -1 and not slack) or (
+                tgt_order[a] % oq if injective else oq % tgt_order[a]
+            ):
                 continue
             tried += 1
             if tried > SUBSET_CAP:
                 raise CapExceeded(
-                    "star morphism search tried more than subset_cap=%d"
-                    " assignments" % SUBSET_CAP
+                    "%s morphism search tried more than subset_cap=%d"
+                    " assignments" % (word, SUBSET_CAP)
                 )
             if assign(q, a):
                 search(gens + [q])
             for x in assigned[mark:]:
-                preimage[sigma[x]] = sigma[x] = -1
+                if preimage[sigma[x]] == x:
+                    preimage[sigma[x]] = -1
+                sigma[x] = -1
             del assigned[mark:]
+            slack = spare
 
     search([])
-    found.sort(key=lambda item: item[0])
-    return [mor for _, mor in found]
+    if injective:
+        return sorted(found, key=lambda s: (sorted(s), sorted(range(k), key=s.__getitem__)))
+    return sorted(found)
+
+
+def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
+    """All SurjMorphisms src -> tgt, sorted by their images: _sigma_search
+    with repeated values allowed."""
+    return [SurjMorphism(src, tgt, s) for s in _sigma_search(src, tgt, False)]
+
+
+def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
+    """All StarMorphisms src -> tgt, in canonical order, duplicate free:
+    _sigma_search with every value used once."""
+    return [StarMorphism(src, tgt, s) for s in _sigma_search(src, tgt, True)]
 
 
 def genpair_to_text(pair: GenPair) -> str:

@@ -191,6 +191,15 @@ def test_star_homs_subset_cap(tmp_path, capsys, monkeypatch):
     assert "subset_cap=5" in captured.err
 
 
+def test_verify_surj_subset_cap(capsys, monkeypatch):
+    # the surjective search counts its assignments against the same cap
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", 0)
+    rc = main(["verify", "--mode", "surj", "--corpus", "r3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: surjective morphism search tried more than subset_cap=0" in captured.err
+
+
 # sha256 of star-homs --json on inner pairs, keyed "<source> <target>" by
 # corpus token, so that any change to a listed morphism or to their order
 # shows.

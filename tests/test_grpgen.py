@@ -226,6 +226,22 @@ def census_pairs():
     return [inn(q) for q in quandles] + [inn(dihedral(5))]
 
 
+def unstable_pairs():
+    """S3 on (0 1) and (0 1 2), S3 on (0 1) and (1 2) and D4 on two
+    adjacent reflections, whose omegas are not closed under conjugation, so
+    conjugates of omega members leave omega; and two stable ones, C4 on r
+    and r^2 (abelian) and R3's pair."""
+    s3, d4 = symmetric_group(3), dihedral_group(4)
+    r = tuple((i + 1) % 4 for i in range(4))
+    return [
+        make_genpair(s3, [(1, 0, 2), (1, 2, 0)]),
+        make_genpair(s3, [(1, 0, 2), (0, 2, 1)]),
+        make_genpair(cyclic_group(4), [r, compose(r, r)]),
+        make_genpair(d4, dihedral_reflections(4)[:2]),
+        refl_pair(3),
+    ]
+
+
 def clause_tags(report):
     return [line.split(":")[0] for line in report]
 
@@ -283,12 +299,16 @@ def test_surj_enumeration_matches_the_ordered_brute_force():
     # the order prune cuts only branches extend_hom would reject, so the
     # list and its order are those of filtering every map in lexicographic
     # order; R3 <-> the tetrahedral quandle (order 2 against order 3) is
-    # pruned whole
+    # pruned whole.  Among the unstable pairs a conjugate of source omega
+    # members outside the source omega constrains nothing, and on an
+    # unstable target a branch dies where a conjugate of its values leaves it
+    assert [p.conj_stable for p in unstable_pairs()] == [False, False, True, False, True]
     seen = 0
-    for src, tgt in itertools.product(census_pairs(), repeat=2):
-        fast = [tuple(m.mapping[w] for w in src.omega) for m in enumerate_surj_morphisms(src, tgt)]
-        assert fast == brute_force_surj_morphisms(src, tgt), (src.omega, tgt.omega)
-        seen += len(fast)
+    for pairs in (census_pairs(), unstable_pairs()):
+        for src, tgt in itertools.product(pairs, repeat=2):
+            fast = [tuple(m.mapping[w] for w in src.omega) for m in enumerate_surj_morphisms(src, tgt)]
+            assert fast == brute_force_surj_morphisms(src, tgt), (src.omega, tgt.omega)
+            seen += len(fast)
     assert seen > 0
 
 
@@ -305,22 +325,29 @@ def test_enumerate_surj_morphisms_r9_to_r3():
 
 def test_surj_enumeration_counts_before_it_searches(monkeypatch):
     # images must cover the target omega, so a smaller source omega has no
-    # surjective morphism and the extension search is not entered
+    # surjective morphism: the shared sigma backtracker returns before it
+    # reads a conjugation table of either pair
     s4, s5, s3 = symmetric_group(4), symmetric_group(5), symmetric_group(3)
     searches = []
-    real = grpgen._extension_search
-    monkeypatch.setattr(grpgen, "_extension_search", lambda *a: searches.append(a) or real(*a))
+    real = grpgen._sigma_search
+
+    def spy(src, tgt, injective):
+        out = real(src, tgt, injective)
+        searches.append(any("conj_table" in vars(p) for p in (src, tgt)))
+        return out
+
+    monkeypatch.setattr(grpgen, "_sigma_search", spy)
     c4 = inn(conjugation_quandle(s4, s4.sorted_elements()))
     c5 = inn(conjugation_quandle(s5, s5.sorted_elements()))
     assert enumerate_surj_morphisms(c4, c5) == []
-    assert searches == []
+    assert searches == [False]
     small = [refl_pair(3), refl_pair(5), inn(conjugation_quandle(s3, s3.sorted_elements()))]
     for src, tgt in itertools.combinations(small, 2):
         assert len(src.omega) < len(tgt.omega)
         assert enumerate_surj_morphisms(src, tgt) == brute_force_surj_morphisms(src, tgt) == []
-    assert searches == []
+    assert searches == [False] * 4
     assert enumerate_surj_morphisms(small[0], small[0])
-    assert len(searches) == 1
+    assert searches == [False] * 4 + [True]
 
 
 def test_compose_surj():
@@ -694,13 +721,16 @@ def test_star_check_failing_report_is_stable():
 def test_extension_searches_refuse_to_overflow_the_stack(monkeypatch):
     p3, p9 = refl_pair(3), refl_pair(9)
     # six commuting involutions, the swaps of 2i and 2i + 1: a trivial
-    # quandle, whose only quandle generating set is all six
+    # quandle, whose only quandle generating set is all six, so both
+    # flavors branch on all six points (R9 -> R3 surjective, used here
+    # before, now branches on 2 of R9's 9)
     swaps = [tuple(j ^ 1 if j // 2 == i else j for j in range(12)) for i in range(6)]
     p64 = make_genpair(close_group(swaps), swaps)
     monkeypatch.setattr(sys, "getrecursionlimit", lambda: RECURSION_MARGIN + 5)
     with pytest.raises(CapExceeded, match="recursion limit"):
-        enumerate_surj_morphisms(p9, p3)  # 9 generators
+        enumerate_surj_morphisms(p64, p64)  # 6 generators
     with pytest.raises(CapExceeded, match="recursion limit"):
         enumerate_star_morphisms(p64, p64)  # 6 generators
     assert len(enumerate_surj_morphisms(p3, p3)) == 6
+    assert len(enumerate_surj_morphisms(p9, p3)) == 6  # 2 generators
     assert len(enumerate_star_morphisms(p3, p9)) == 18  # 2 generators
