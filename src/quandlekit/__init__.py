@@ -73,8 +73,6 @@ from .grpgen import (
 )
 from .functors import (
     EquivalenceReport,
-    F_inj_mor,
-    F_surj_mor,
     G_inj_mor,
     G_surj_mor,
     eta_star,

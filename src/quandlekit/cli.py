@@ -111,14 +111,12 @@ def _parse_factors(text: str) -> list[int]:
 
 
 def _parse_matrix(text: str, rank: int) -> list[list[int]]:
-    """Either 'x<k>' (multiply every coordinate by k) or ';'-separated rows."""
+    """Either 'x<k>' (multiply every coordinate by k) or ';'-separated rows
+    of ','-separated entries; alexander_quandle checks the shape."""
     if re.fullmatch(r"x-?\d+", text.lower()):
         k = int(text[1:])
         return [[k if i == j else 0 for j in range(rank)] for i in range(rank)]
-    rows = [[int(tok) for tok in row.split(",")] for row in text.split(";")]
-    if len(rows) != rank or any(len(row) != rank for row in rows):
-        raise ValueError("matrix must be %dx%d" % (rank, rank))
-    return rows
+    return [[int(tok) for tok in row.split(",")] for row in text.split(";")]
 
 
 def _family_group(words: list[str]) -> PermGroup:
@@ -276,8 +274,15 @@ def cmd_star_homs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _corpus_member(token: str) -> Quandle:
-    t = token.strip()
+# A rank-1 PHI is one entry, and a larger matrix needs commas, which split
+# verify's corpus into tokens.
+_CORPUS_PHI_RULE = (
+    "commas separate corpus tokens, so a corpus PHI is x<k> or a one-factor entry;"
+    " list a file from 'make alexander FACTORS PHI --out FILE' for any other matrix"
+)
+
+
+def _corpus_member(t: str) -> Quandle:
     m = re.fullmatch(r"r(\d+)", t)
     if m:
         return dihedral(int(m.group(1)))
@@ -294,6 +299,8 @@ def _corpus_member(token: str) -> Quandle:
             )
         _, fac, phi = parts
         factors = _parse_factors(fac)
+        if len(factors) > 1 and not phi.lower().startswith("x"):
+            raise ValueError("corpus token %r: %s" % (t, _CORPUS_PHI_RULE))
         return alexander_quandle(factors, _parse_matrix(phi, len(factors)))
     m = re.fullmatch(r"conj:s(\d+)", t)
     if m:
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--corpus",
         default="r3,r5,r7,r9,conj:s3",
-        help="comma list: rN | dihedral:N | trivial:N | alex:FACTORS:PHI | conj:sN | path",
+        help="comma list: rN | dihedral:N | trivial:N | alex:FACTORS:PHI | conj:sN | path; " + _CORPUS_PHI_RULE,
     )
     p.add_argument("--mode", choices=sorted(MODE_WORDS), default="all")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="group closure size cap")

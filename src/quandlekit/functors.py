@@ -73,11 +73,6 @@ def to_quandle(p: GenPair) -> Quandle:
     return quandle_of_conjugation_table(p.conj_table)
 
 
-# F on morphisms is the group map a homomorphism induces.
-F_surj_mor = induced_surjective
-F_inj_mor = induced_injective
-
-
 def G_surj_mor(m: SurjMorphism, source_quandle: Quandle, target_quandle: Quandle) -> QuandleHom:
     """Restrict the group map to omega: the stored positions themselves.
 
@@ -85,7 +80,7 @@ def G_surj_mor(m: SurjMorphism, source_quandle: Quandle, target_quandle: Quandle
     canonical order, so the restriction sends point i to m.images[i].  The
     quandles are to_quandle of m's source and target, and m is valid
     (check_surj_morphism), so the positions fit them.  The result is built,
-    not checked: check_hom checks it.
+    not checked: verify_equivalence runs check_hom on it before F reads it.
     """
     return _trusted_hom(source_quandle, target_quandle, m.images)
 
@@ -99,7 +94,8 @@ def G_inj_mor(m: StarMorphism, source_quandle: Quandle, target_quandle: Quandle)
     that projects to source point i, so the map is a well-defined injective
     quandle map.  The quandles are to_quandle of m's source and target,
     and m is valid (check_star_morphism), so the positions fit them.  The
-    result is built, not checked: check_hom checks it.
+    result is built, not checked: verify_equivalence runs check_hom on it
+    before F reads it.
     """
     return _trusted_hom(source_quandle, target_quandle, m.images)
 
@@ -291,10 +287,11 @@ def verify_equivalence(
     forward image of an enumerated hom is checked with the flavor's check
     (in "enumeration"), theta with check_hom and eta with the flavor's
     check (in "theta_iso" and "eta_iso").  Each backward image of an
-    enumerated morphism is checked in "eta_naturality" by the forward map
-    itself, whose input validation (check_hom and the mode test) raises
-    ValueError on a non-hom or a hom of the wrong mode.  Composites are not
-    checked: the laws compare them with checked morphisms, and that
+    enumerated morphism is checked with check_hom in "eta_naturality", just
+    before the forward map reads it; the forward map's mode test then
+    rejects a hom of the wrong mode.  F is handed no other unchecked map:
+    the identity and the enumerated homs are homs already.  Composites are
+    not checked: the laws compare them with checked morphisms, and that
     comparison is the law itself.
 
     cap bounds each inner group to_pair lists; every group the run builds
@@ -389,9 +386,14 @@ def verify_equivalence(
         if et_i is not None and et_j is not None:
             with report.checking("eta_naturality", inst) as add:
                 backs = [fl.backward(m, conjs[i], conjs[j]) for m in gh]
-                # the forward map rejects a backward image that is not a hom
-                # of the mode, before G composition may read it
-                forwards = [fl.forward(g, round_trips[i], round_trips[j]) for g in backs]
+                # F builds without checking, so each backward image is
+                # hom-checked here and F's mode test rejects one of the wrong
+                # mode, before G composition reads them
+                forwards = []
+                for g in backs:
+                    if check_hom(g):
+                        raise ValueError("not a quandle homomorphism")
+                    forwards.append(fl.forward(g, round_trips[i], round_trips[j]))
                 g_mapped[i, j] = backs
                 ok = all(
                     fl.compose(m, et_i) == fl.compose(et_j, fm) for m, fm in zip(gh, forwards)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism
 from .perm import perm_order, require_recursion_depth
-from .quandle import GenPair, Quandle, is_faithful
+from .quandle import GenPair, Quandle
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
 MODE_WORDS = {
@@ -259,12 +259,12 @@ def _omega_images(f: QuandleHom, p1: GenPair, p2: GenPair) -> tuple[int, ...]:
     """The omega positions of the group-side morphism f induces, in both
     flavors: images[pos1(s_y)] = pos2(s_{f(y)}), where pos1 and pos2 are
     the omega positions of p1 and p2, inn() of f's source and target.
-    ValueError for a non-hom f, an unfaithful source or target, or a pair
-    whose omega is not its quandle's symmetries."""
-    if check_hom(f):
-        raise ValueError("not a quandle homomorphism")
-    if not is_faithful(f.source) or not is_faithful(f.target):
-        raise ValueError("induced maps need faithful source and target")
+
+    f is not checked to be a hom: between faithful quandles, the positions
+    of a map that is not one fail check_surj_morphism and
+    check_star_morphism.  ValueError only where the positions cannot be
+    formed: a pair whose omega is not its quandle's symmetries, or an
+    unfaithful source, whose n points have fewer than n symmetries."""
     pos1, pos2 = p1.omega_position, p2.omega_position
     t1, t2 = f.source.table, f.target.table
     try:
@@ -281,9 +281,10 @@ def induced_surjective(f: QuandleHom, p1: GenPair, p2: GenPair) -> SurjMorphism:
 
     p1 and p2 are inn() of f's source and target.  The map sends the
     symmetry s_y to s_{f(y)}, the defining equation f s_y = s_{f(y)} f read
-    on the generators, so its positions are _omega_images, which also
-    validates f and the pairs; a non-surjective f is a ValueError too.
-    The result is built, not checked: check_surj_morphism checks it.
+    on the generators, so its positions are _omega_images.  ValueError for
+    a non-surjective f and where _omega_images cannot place the positions;
+    f is not checked to be a hom.  The result is built, not checked:
+    check_surj_morphism checks it.
     """
     images = _omega_images(f, p1, p2)
     if not f.is_surjective():
@@ -297,10 +298,10 @@ def induced_injective(f: QuandleHom, p1: GenPair, p2: GenPair) -> StarMorphism:
     p1 and p2 are inn() of f's source and target.  The subset gamma is
     the symmetries at image points, and the projection sends s_{f(y)} back
     to s_y, from f s_y = s_{f(y)} f.  Its inverse sigma lifts s_y to
-    s_{f(y)}: the positions of induced_surjective, _omega_images, which
-    also validates f and the pairs; a non-injective f is a ValueError too.
-    No group is closed.  The result is built, not checked:
-    check_star_morphism checks it.
+    s_{f(y)}: the positions of induced_surjective, _omega_images.
+    ValueError for a non-injective f and where _omega_images cannot place
+    the positions; f is not checked to be a hom.  No group is closed.  The
+    result is built, not checked: check_star_morphism checks it.
     """
     images = _omega_images(f, p1, p2)
     if not f.is_injective():

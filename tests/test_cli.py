@@ -291,10 +291,19 @@ def test_verify_rejects_unfaithful_member(capsys):
     capsys.readouterr()
 
 
-def test_verify_rejects_malformed_alex_token(capsys):
+def test_verify_rejects_malformed_alex_token(capsys, tmp_path):
     assert main(["verify", "--corpus", "r3,alex:z5", "--mode", "surj"]) == 2
     err = capsys.readouterr().err
     assert "'alex:z5'" in err and "alex:FACTORS:PHI" in err
+    # the commas of a rank-2 matrix split the corpus, so the error names
+    # that and the file route, which then verifies
+    assert main(["verify", "--corpus", "r3,alex:z3xz3:0,1;-1,0", "--mode", "surj"]) == 2
+    err = capsys.readouterr().err
+    assert "'alex:z3xz3:0'" in err and "commas separate corpus tokens" in err
+    assert "make alexander FACTORS PHI --out FILE" in err
+    a9 = tmp_path / "a9.quandle"
+    assert main(["make", "alexander", "z3xz3", "0,1;-1,0", "--out", str(a9)]) == 0
+    assert main(["verify", "--corpus", "r3,%s" % a9, "--mode", "surj"]) == 0
 
 
 def test_verify_rejects_dihedral_and_trivial_tokens_with_extra_fields(capsys):

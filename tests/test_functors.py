@@ -7,8 +7,6 @@ import pytest
 
 from quandlekit import (
     CapExceeded,
-    F_inj_mor,
-    F_surj_mor,
     G_inj_mor,
     G_surj_mor,
     QuandleHom,
@@ -26,6 +24,8 @@ from quandlekit import (
     eta_star,
     eta_surj,
     identity_hom,
+    induced_injective,
+    induced_surjective,
     inn,
     is_faithful,
     is_star_isomorphism,
@@ -36,7 +36,7 @@ from quandlekit import (
     trivial_quandle,
     verify_equivalence,
 )
-from quandlekit import functors
+from quandlekit import functors, homs
 from quandlekit.cli import load_corpus, main
 
 from helpers import as_point_map, compose_by_extension, iso_class_representatives
@@ -230,10 +230,10 @@ def test_forward_functor_on_morphisms():
     r3, r9 = dihedral(3), dihedral(9)
     p3, p9 = to_pair(r3), to_pair(r9)
     f = enumerate_homs(r3, r9, "injective")[0]
-    m = F_inj_mor(f, p3, p9)
+    m = induced_injective(f, p3, p9)
     assert check_star_morphism(m) == []
     g = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
-    m2 = F_surj_mor(g, p9, p3)
+    m2 = induced_surjective(g, p9, p3)
     assert check_surj_morphism(m2) == []
 
 
@@ -245,10 +245,10 @@ def test_forward_functor_respects_composition():
     f2 = QuandleHom(r9, r9, tuple(-x % 9 for x in range(9)))
     assert check_hom(f1) == [] and check_hom(f2) == []
     p3, p9 = to_pair(r3), to_pair(r9)
-    m1, m2 = F_inj_mor(f1, p3, p9), F_inj_mor(f2, p9, p9)
+    m1, m2 = induced_injective(f1, p3, p9), induced_injective(f2, p9, p9)
     assert not is_star_isomorphism(m1)  # proper subgroup of order 6
     assert is_star_isomorphism(m2)
-    composite = F_inj_mor(compose_homs(f2, f1), p3, p9)
+    composite = induced_injective(compose_homs(f2, f1), p3, p9)
     assert check_star_morphism(composite) == []
     assert compose_star(m2, m1) == composite
 
@@ -259,7 +259,7 @@ def test_backward_functor_inverts_forward():
     p3, p9 = to_pair(r3), to_pair(r9)
     th3, th9 = theta(r3, p3), theta(r9, p9)
     for f in enumerate_homs(r3, r9, "injective"):
-        gf = G_inj_mor(F_inj_mor(f, p3, p9), to_quandle(p3), to_quandle(p9))
+        gf = G_inj_mor(induced_injective(f, p3, p9), to_quandle(p3), to_quandle(p9))
         assert check_hom(gf) == [] and gf.is_injective()
         left = tuple(th9.mapping[v] for v in gf.mapping)
         right = tuple(f.mapping[v] for v in th3.mapping)
@@ -271,7 +271,7 @@ def test_backward_functor_surjective_flavor():
     p9, p3 = to_pair(r9), to_pair(r3)
     th9, th3 = theta(r9, p9), theta(r3, p3)
     f = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
-    gf = G_surj_mor(F_surj_mor(f, p9, p3), to_quandle(p9), to_quandle(p3))
+    gf = G_surj_mor(induced_surjective(f, p9, p3), to_quandle(p9), to_quandle(p3))
     assert check_hom(gf) == [] and gf.is_surjective()
     left = tuple(th3.mapping[v] for v in gf.mapping)
     right = tuple(f.mapping[v] for v in th9.mapping)
@@ -283,8 +283,8 @@ def test_functor_identity_laws():
     p3 = to_pair(r3)
     from quandlekit import identity_star, identity_surj
 
-    assert F_inj_mor(identity_hom(r3), p3, p3) == identity_star(p3)
-    assert F_surj_mor(identity_hom(r3), p3, p3) == identity_surj(p3)
+    assert induced_injective(identity_hom(r3), p3, p3) == identity_star(p3)
+    assert induced_surjective(identity_hom(r3), p3, p3) == identity_surj(p3)
     cq = to_quandle(p3)
     assert G_inj_mor(identity_star(p3), cq, cq) == identity_hom(cq)
     assert G_surj_mor(identity_surj(p3), cq, cq) == identity_hom(cq)
@@ -635,6 +635,29 @@ def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, ma
 
 
 @pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_checks_each_quandle_map_once(monkeypatch, mode):
+    # check_hom runs on theta once per member and on each backward image
+    # once, where it enters F; F itself re-proves nothing
+    corpus = [dihedral(3), dihedral(5)]
+    pairs = [to_pair(q) for q in corpus]
+    enumerate_group_side = functors._flavor(mode).enumerate
+    expected = len(corpus) + sum(
+        len(enumerate_group_side(p1, p2)) for p1, p2 in itertools.product(pairs, repeat=2)
+    )
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return check_hom(f)
+
+    monkeypatch.setattr(homs, "check_hom", spy)
+    monkeypatch.setattr(functors, "check_hom", spy)
+    report = verify_equivalence(corpus, mode, names=["r3", "r5"])
+    assert report.failures == []
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
 def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypatch, mode):
     # only the forward images between round trips are corrupted: eta
     # naturality composes them with eta unchecked.  One generator value
@@ -741,7 +764,7 @@ def test_both_flavors_store_the_same_positions():
         p1, p2 = pairs[i], pairs[j]
         if quandles[i].n == quandles[j].n:
             for f in enumerate_homs(quandles[i], quandles[j], "injective"):
-                star, surj = F_inj_mor(f, p1, p2), F_surj_mor(f, p1, p2)
+                star, surj = induced_injective(f, p1, p2), induced_surjective(f, p1, p2)
                 assert star.images == surj.images
                 assert G_inj_mor(star, conjs[i], conjs[j]) == G_surj_mor(surj, conjs[i], conjs[j])
                 bijective += 1

@@ -324,6 +324,33 @@ def test_induced_maps_reject_unfaithful_ends():
         induced_injective(ident, p2, p2)
 
 
+def test_induced_maps_build_without_reproving_f():
+    # the points 0 and 1 of R5 swapped: a bijection but no hom.  Both maps
+    # build from it, and the group-side checks report the failure
+    r3, r5, r9 = dihedral(3), dihedral(5), dihedral(9)
+    p3, p5, p9 = inn(r3), inn(r5), inn(r9)
+    swapped = QuandleHom(r5, r5, (1, 0, 2, 3, 4))
+    assert check_hom(swapped)
+    surj = induced_surjective(swapped, p5, p5)
+    star = induced_injective(swapped, p5, p5)
+    assert any(c.startswith("homomorphism:") for c in check_surj_morphism(surj))
+    assert any(c.startswith("homomorphism:") for c in check_star_morphism(star))
+    # what the positions cannot hold is still refused: the wrong mode, an
+    # unfaithful source, and pairs that are not inn() of f's ends
+    inj = enumerate_homs(r3, r9, "injective")[0]
+    onto = QuandleHom(r9, r3, tuple(k % 3 for k in range(9)))
+    with pytest.raises(ValueError, match="not surjective"):
+        induced_surjective(inj, p3, p9)
+    with pytest.raises(ValueError, match="not injective"):
+        induced_injective(onto, p9, p3)
+    t2 = trivial_quandle(2)
+    for induced in (induced_surjective, induced_injective):
+        with pytest.raises(ValueError, match="omegas are not the symmetries"):
+            induced(identity_hom(t2), inn(t2), inn(t2))
+        with pytest.raises(ValueError, match="omegas are not the symmetries"):
+            induced(inj, p9, p3)
+
+
 def test_inner_order_divides_along_injections():
     r3, r9 = dihedral(3), dihedral(9)
     a, b = len(inn(r3).group), len(inn(r9).group)
