@@ -110,18 +110,31 @@ def _parse_factors(text: str) -> list[int]:
     return factors
 
 
+def _integer(text: str) -> int:
+    """N as an integer, or ValueError naming the word."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("N must be an integer, got %r" % text) from None
+
+
 def _parse_matrix(text: str, rank: int) -> list[list[int]]:
     """Either 'x<k>' (multiply every coordinate by k) or ';'-separated rows
     of ','-separated entries; alexander_quandle checks the shape."""
     if re.fullmatch(r"x-?\d+", text.lower()):
         k = int(text[1:])
         return [[k if i == j else 0 for j in range(rank)] for i in range(rank)]
-    return [[int(tok) for tok in row.split(",")] for row in text.split(";")]
+    try:
+        return [[int(tok) for tok in row.split(",")] for row in text.split(";")]
+    except ValueError:
+        raise ValueError("PHI must be x<k> or rows like 0,1;-1,0, got %r" % text) from None
 
 
 def _family_group(words: list[str]) -> PermGroup:
     if not words:
         raise ValueError("missing group family, e.g. 'symmetric 3'")
+    if len(words) == 2:
+        _integer(words[1])  # int() inside group_from_lines would not name N
     return group_from_lines([" ".join(words)])
 
 
@@ -158,9 +171,9 @@ def cmd_make(args: argparse.Namespace) -> int:
     kind = spec[0]
     made = None
     if kind == "trivial" and len(spec) == 2:
-        made = trivial_quandle(int(spec[1]))
+        made = trivial_quandle(_integer(spec[1]))
     elif kind == "dihedral" and len(spec) == 2:
-        made = dihedral(int(spec[1]))
+        made = dihedral(_integer(spec[1]))
     elif kind == "alexander" and len(spec) == 3:
         factors = _parse_factors(spec[1])
         made = alexander_quandle(factors, _parse_matrix(spec[2], len(factors)))

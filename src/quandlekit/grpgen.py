@@ -58,8 +58,8 @@ from .perm import (
     compose,
     centralizer_of_subset_is_trivial,
     ConjugationTable,
-    conjugation_basis,
     conjugation_stable_under,
+    generator_blocks,
     group_from_lines,
     group_to_lines,
     identity,
@@ -82,10 +82,11 @@ class GenPair:
     under conjugation by the whole group; faithful records whether only the
     identity centralizes all of omega; omega_position maps each omega
     member to its index; omega_basis is a quandle generating set of omega
-    as positions (conjugation_basis), which generates the group too.  All
-    are computed on first use.  Whoever builds the pair (inn,
-    genpair_from_text, close_group) bounds its group by a cap; a subgroup
-    closed inside it takes no cap of its own.
+    as positions, the generators perm.generator_blocks picks from
+    conj_table, which generate the group too.  All are computed on first
+    use.  Whoever builds the pair (inn, genpair_from_text, close_group)
+    bounds its group by a cap; a subgroup closed inside it takes no cap of
+    its own.
     """
 
     group: PermGroup
@@ -120,7 +121,7 @@ class GenPair:
 
     @cached_property
     def omega_basis(self) -> tuple[int, ...]:
-        return tuple(conjugation_basis(self.conj_table, range(len(self.omega)))[0])
+        return tuple([g for g, _ in generator_blocks(self.conj_table, range(len(self.omega)))[0]])
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -337,13 +338,14 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     sigma) is a value outside the source omega, and a shorter sigma misses
     part of it.
 
-    No group is closed.  One conjugation_basis pass over gamma gives both
-    its stability (under the subgroup gamma generates, which is stability
-    under a basis of gamma) and a quandle generating set; the homomorphism
-    is extended from the projection's values there and compared with it
-    on the rest of gamma.  That is exact for any gamma, stable or not, and
-    any sigma: a repeated position, which the projection would send to two
-    values, extends to nothing.
+    No group is closed.  One perm.generator_blocks pass over gamma's
+    entries of the target's conj_table, at most 2 * |generators| * |gamma|
+    of them, gives both its stability (under the subgroup gamma generates,
+    which is stability under generators of gamma) and a quandle
+    generating set; the homomorphism is extended from the projection's
+    values there and compared with it on the rest of gamma.  That is exact
+    for any gamma, stable or not, and any sigma: a repeated position, which
+    the projection would send to two values, extends to nothing.
     """
     report: list[str] = []
     tgt, src = m.target, m.source
@@ -355,13 +357,13 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if not all(0 <= a < len(lam) for a in sigma):
         report.append("gamma: subset is not contained in the target omega")
         return report
-    basis, stable = conjugation_basis(tgt.conj_table, sorted(sigma))
+    blocks, stable = generator_blocks(tgt.conj_table, sorted(sigma))
     if not stable:
         report.append("stability: subset is not conjugation-stable in the domain group")
     if len(sigma) > len(omega):
         report.append("bijectivity: proj carries the subset outside the source omega")
         return report
-    hom = extend_hom([(lam[a], omega[sigma.index(a)]) for a in basis], tgt.degree, src.degree)
+    hom = extend_hom([(lam[a], omega[sigma.index(a)]) for a, _ in blocks], tgt.degree, src.degree)
     if hom is None or any(hom[lam[a]] != w for w, a in zip(omega, sigma)):
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report

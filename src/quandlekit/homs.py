@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism
-from .perm import perm_order, require_recursion_depth
+from .perm import generator_blocks, perm_order, require_recursion_depth
 from .quandle import GenPair, Quandle
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
@@ -92,51 +92,17 @@ def check_hom(f: QuandleHom) -> list[tuple[int, int]]:
     return bad
 
 
-def _generator_blocks(t1: Sequence[Sequence[int]]) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """A generating set taken greedily, with the points each generator adds.
-
-    Each generator is the smallest point that the |>-closure of the earlier
-    ones does not reach; its block lists, in the order they are reached,
-    the points its addition brings into the closure, each as (z, x, y) with
-    x |> y = z and x, y reached before z.  The table need not be a quandle:
-    closure here is closure under |> alone.
-    """
-    n = len(t1)
-    reached = [False] * n
-    order: list[int] = []
-    blocks = []
-    for g in range(n):
-        if reached[g]:
-            continue
-        reached[g] = True
-        i = len(order)
-        order.append(g)
-        block = []
-        # every pair with a newly reached member is combined once, both ways
-        while i < len(order):
-            a = order[i]
-            for b in order[: i + 1]:
-                for x, y in ((a, b), (b, a)):
-                    z = t1[x][y]
-                    if not reached[z]:
-                        reached[z] = True
-                        order.append(z)
-                        block.append((z, x, y))
-            i += 1
-        blocks.append((g, block))
-    return blocks
-
-
 def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleHom]:
     """Every homomorphism q1 -> q2, in lexicographic order of the map arrays.
 
     A homomorphism is fixed by its values on a generating set, so the
-    search branches only on generators (_generator_blocks).  After a
-    generator is given a value, the points of its closure block follow in
-    a flat loop: a point z reached as x |> y = z can only take the value
-    img[x] |> img[y], since any other value fails that instance.  Each
-    equivariance instance (x, y) that is checked is checked as soon as the
-    last of x, y and x |> y is placed.
+    search branches only on generators: perm.generator_blocks of q1's
+    points in index order, whose closure order keeps the target rows the
+    search reads low.  After a generator is given a value, the points of
+    its closure block follow in a flat loop: a point z reached as
+    x |> y = z can only take the value img[x] |> img[y], since any other
+    value fails that instance.  Each equivariance instance (x, y) that is
+    checked is checked as soon as the last of x, y and x |> y is placed.
 
     Which instances are checked depends on one flag: whether both tables
     are quandles (Quandle.violations, check_axioms' verdict kept with the
@@ -171,7 +137,7 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     if mode == "injective" and n2 < n1:
         return []
     t1, t2 = q1.table, q2.table
-    blocks = _generator_blocks(t1)
+    blocks = generator_blocks(q1, range(n1))[0]
     require_recursion_depth(len(blocks), "hom enumeration from a %d-point quandle" % n1)
     # placement order, and for each placed point the instances (x, y, x |> y)
     # whose last point it is

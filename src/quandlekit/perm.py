@@ -229,43 +229,66 @@ class ConjugationTable(dict):
         return tuple(tuple([self[i, j] for j in n]) for i in n)
 
 
-def conjugation_basis(table: ConjugationTable, members: Sequence[int]) -> tuple[list[int], bool]:
-    """(basis, stable): a quandle generating set of the members, and whether
-    the members are closed under conjugation by one another.
+def generator_blocks(table, members: Sequence[int]) -> tuple[list[tuple[int, list[tuple[int, int, int]]]], bool]:
+    """(blocks, stable): a generating set of the members under |>, each
+    generator with the members its addition brings in, and whether every
+    entry read stays among the members.
 
-    The members are table positions, taken in order; one that conjugation
-    by the basis has not reached yet joins the basis.  Each pair (basis
-    member, reached member) is read once, |basis| * |members| entries at
-    most, and a conjugate outside the members is not reached.  Every
-    reached member lies in the group the basis generates, so the basis
-    generates the same group as the members.  stable is True exactly when
-    every conjugate stays among the members: stability under generators is
-    stability under the group they generate.  No group is closed.
+    table[x, y] is x |> y: a Quandle's table, or a ConjugationTable, where
+    it is the position of x y x^-1.  The members are taken in order; one
+    not reached yet becomes the next generator g, and its block lists, in
+    the order they are reached, the members it brings in, each as
+    (z, x, y) with x |> y = z and x, y reached before z.  A new generator
+    meets every member reached so far, itself included, and each newly
+    reached member meets every generator, both ways: 2 * |generators| *
+    |members| entries read at most.  An entry outside the members is not
+    reached and makes stable False.  enumerate_homs places points in block
+    order, so its search work follows this order.
+
+    Among permutations every reached member lies in the group the
+    generators generate, as x y x^-1 of two of its elements does, so the
+    generators generate the same group as the members.  stable is then
+    True exactly when the members are closed under conjugation by that
+    group: stability under generators is stability under the group they
+    generate.  No group is closed.
     """
-    mset = frozenset(members)
-    basis: list[int] = []
-    done: list[int] = []  # done[i]: reached members basis[i] has conjugated
-    reached: list[int] = []
-    seen: set[int] = set()
+    mset, reached = frozenset(members), set()
+    order: list[int] = []
+    generators: list[int] = []
+    blocks = []
     stable = True
-    for m in members:
-        if m in seen:
+    for g in members:
+        if g in reached:
             continue
-        basis.append(m)
-        done.append(0)
-        seen.add(m)
-        reached.append(m)
-        while any(d < len(reached) for d in done):
-            for i, b in enumerate(basis):
-                while done[i] < len(reached):
-                    c = table[b, reached[done[i]]]
-                    done[i] += 1
-                    if c not in mset:
-                        stable = False
-                    elif c not in seen:
-                        seen.add(c)
-                        reached.append(c)
-    return basis, stable
+        reached.add(g)
+        generators.append(g)
+        block: list[tuple[int, int, int]] = []
+        blocks.append((g, block))
+        i = len(order)
+        order.append(g)
+        partners = order[:]
+        while i < len(order):
+            a = order[i]
+            # both reads spelled out: a loop over ((a, b), (b, a)) would
+            # build tuples per pair on check_star_morphism's hot path
+            for b in partners:
+                z = table[a, b]
+                if z not in mset:
+                    stable = False
+                elif z not in reached:
+                    reached.add(z)
+                    order.append(z)
+                    block.append((z, a, b))
+                z = table[b, a]
+                if z not in mset:
+                    stable = False
+                elif z not in reached:
+                    reached.add(z)
+                    order.append(z)
+                    block.append((z, b, a))
+            partners = generators
+            i += 1
+    return blocks, stable
 
 
 def _rotation(n: int) -> Perm:

@@ -63,6 +63,10 @@ class Quandle:
     def n(self) -> int:
         return len(self.table)
 
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        """x |> y for the key (x, y), as perm.generator_blocks reads it."""
+        return self.table[key[0]][key[1]]
+
     def symmetry(self, x: int) -> Perm:
         """The row at x, viewed as a permutation (valid quandles only)."""
         return self.table[x]

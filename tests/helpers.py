@@ -6,6 +6,8 @@ checked against these, so none of the library's own shortcuts may appear.
 
 import itertools
 
+from hypothesis import strategies as st
+
 from quandlekit import Quandle
 
 
@@ -28,6 +30,37 @@ def brute_force_homs(q1, q2, mode="all"):
         if ok:
             out.append(images)
     return out
+
+
+@st.composite
+def arbitrary_tables(draw, max_order=4):
+    """Total tables of any entries, no axiom asked."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    return Quandle([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+def naive_generators(table, members):
+    """(generators, stable) of the members under table[x, y] = x |> y, the
+    slow way: each member, in order, that the closure of the earlier
+    generators does not hold becomes one.  The closure is the fixpoint of
+    adding every member x |> y and y |> x for a generator x and a held y;
+    stable says every such entry, over all members, is a member."""
+    mset = set(members)
+    generators, held = [], set()
+    for m in members:
+        if m in held:
+            continue
+        generators.append(m)
+        held.add(m)
+        while True:
+            more = {table[x, y] for x in generators for y in held} | {table[y, x] for x in generators for y in held}
+            more = (more & mset) - held
+            if not more:
+                break
+            held |= more
+    stable = all(table[x, y] in mset and table[y, x] in mset for x in generators for y in mset)
+    return generators, stable
 
 
 def naive_closure(gens):

@@ -64,6 +64,15 @@ def test_make_rejects_bad_specs(capsys):
     assert main(["make", "alexander", "z5", "x5"]) == 2  # 5 is 0 mod 5
     assert main(["make", "conj", "dihedral", "9", "transpositions"]) == 2
     capsys.readouterr()
+    # a word that is no integer is named, with the form it should take
+    for spec, word, form in (
+        (["alexander", "z5", "abc"], "'abc'", "PHI must be x<k> or rows like 0,1;-1,0"),
+        (["dihedral", "abc"], "'abc'", "N must be an integer"),
+        (["genpair", "dihedral", "x", "reflections"], "'x'", "N must be an integer"),
+    ):
+        assert main(["make", *spec]) == 2
+        err = capsys.readouterr().err
+        assert word in err and form in err and "invalid literal" not in err, (spec, err)
 
 
 def test_make_file_normalizes(tmp_path, capsys):
@@ -301,6 +310,9 @@ def test_verify_rejects_malformed_alex_token(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "'alex:z3xz3:0'" in err and "commas separate corpus tokens" in err
     assert "make alexander FACTORS PHI --out FILE" in err
+    assert main(["verify", "--corpus", "r3,alex:z5:abc", "--mode", "surj"]) == 2
+    err = capsys.readouterr().err
+    assert "'abc'" in err and "PHI must be x<k> or rows like 0,1;-1,0" in err
     a9 = tmp_path / "a9.quandle"
     assert main(["make", "alexander", "z3xz3", "0,1;-1,0", "--out", str(a9)]) == 0
     assert main(["verify", "--corpus", "r3,%s" % a9, "--mode", "surj"]) == 0

@@ -181,8 +181,9 @@ def test_describing_a_large_pair_reads_no_conjugation_table(monkeypatch, tmp_pat
 
 def test_star_checks_and_searches_read_only_the_target_entries_they_reach(monkeypatch):
     # a star morphism into all of S6 (720 omega members) from inn(R3):
-    # the check reads |basis| * |gamma| target entries, and a search cut
-    # by the cap at most k(k-1) entries per assignment, never all 720^2
+    # the check reads at most 2 * |generators| * |gamma| target entries
+    # (perm.generator_blocks), and a search cut by the cap at most k(k-1)
+    # entries per assignment, never all 720^2
     from quandlekit import grpgen, make_genpair, make_star_morphism
 
     def swap(n, a, b):
@@ -194,7 +195,7 @@ def test_star_checks_and_searches_read_only_the_target_entries_they_reach(monkey
     tgt = make_genpair(s6, s6.elements)
     proj = {swap(6, a, b): swap(3, a, b) for a, b in ((0, 1), (0, 2), (1, 2))}
     assert check_star_morphism(make_star_morphism(src, tgt, proj)) == []
-    assert len(tgt.conj_table) <= 2 * 3
+    assert len(tgt.conj_table) <= 2 * 2 * 3
     monkeypatch.setattr(grpgen, "SUBSET_CAP", 2000)
     tgt = make_genpair(s6, s6.elements)
     with pytest.raises(CapExceeded):

@@ -32,9 +32,16 @@ from quandlekit import (
     trivial_quandle,
 )
 from quandlekit import grpgen, homs
+from quandlekit.perm import generator_blocks
 from quandlekit.quandle import is_faithful
 
-from helpers import brute_force_homs, hom_mappings, induced_by_words, iso_class_representatives
+from helpers import (
+    arbitrary_tables,
+    brute_force_homs,
+    hom_mappings,
+    induced_by_words,
+    iso_class_representatives,
+)
 
 
 def test_hom_validation():
@@ -105,13 +112,6 @@ def test_enumeration_matches_brute_force_on_census():
                 assert fast == brute_force_homs(q1, q2, mode)
 
 
-@st.composite
-def arbitrary_tables(draw, max_order=4):
-    n = draw(st.integers(min_value=1, max_value=max_order))
-    entry = st.integers(min_value=0, max_value=n - 1)
-    return Quandle([[draw(entry) for _ in range(n)] for _ in range(n)])
-
-
 @given(arbitrary_tables(), arbitrary_tables(), st.sampled_from(["all", "injective", "surjective"]))
 @settings(max_examples=150, deadline=None)
 def test_enumeration_matches_brute_force_on_arbitrary_tables(q1, q2, mode):
@@ -142,7 +142,7 @@ def test_tables_that_break_only_q3_get_every_instance_checked(side, monkeypatch)
     assert violations and {kind for kind, _ in violations} == {"Q3"}
     # some map keeps every instance in a generator's row and column, and
     # every instance its generators' blocks place by, yet is not a hom
-    blocks = homs._generator_blocks(q1.table)
+    blocks = generator_blocks(q1, range(q1.n))[0]
     generators = {g for g, _ in blocks}
     kept = {(x, y) for _, block in blocks for _, x, y in block}
     kept |= {(x, y) for x in range(q1.n) for y in range(q1.n) if x in generators or y in generators}
@@ -195,6 +195,22 @@ def test_symmetry_order_prune_cuts_without_changing_the_homs(monkeypatch):
         assert pruned_reads < reads[0] / 1.5, (mode, pruned_reads, reads[0])
 
 
+def test_hom_search_reads_at_most_its_bounded_target_rows():
+    # the search's work hangs on the order its closure places block points
+    # in: a closure that only conjugates each member by the generators,
+    # never the other way, reads about 130 000 rows on the first query
+    s4 = symmetric_group(4)
+    cs4 = conjugation_quandle(s4, s4.sorted_elements())
+    for q1, q2, mode, bound, count in (
+        (dihedral(9), dihedral(81), "injective", 77_679, 486),
+        (cs4, conjugation_quandle(s4, s4.sorted_elements()), "all", 1_221_576, 7992),
+    ):
+        assert not q2.violations  # checked before counting: only the search's reads count
+        q2, reads = _counting_target(q2)
+        assert len(enumerate_homs(q1, q2, mode)) == count
+        assert reads[0] <= bound, (mode, reads[0])
+
+
 def _relabelled(q, seed):
     """q with point x renamed perm[x], for a seeded permutation perm."""
     perm = list(range(q.n))
@@ -213,7 +229,7 @@ def test_enumeration_order_matches_brute_force_when_closure_order_departs_from_i
     bases = [dihedral(5), conjugation_quandle(s3, s3.sorted_elements()), alexander_quandle([5], [[2]])]
     quandles = [_relabelled(q, seed) for seed, q in enumerate(bases, start=1)]
     for q in quandles:
-        order = [p for g, block in homs._generator_blocks(q.table) for p in (g, *(z for z, _, _ in block))]
+        order = [p for g, block in generator_blocks(q, range(q.n))[0] for p in (g, *(z for z, _, _ in block))]
         assert sorted(order) == list(range(q.n)) and order != sorted(order)
     for q1, q2 in itertools.product(quandles, repeat=2):
         for mode in ("all", "injective", "surjective"):

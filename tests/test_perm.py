@@ -27,11 +27,11 @@ from quandlekit import conjugation_quandle, dihedral, inn, perm
 from quandlekit.perm import (
     ConjugationTable,
     centralizer_of_subset_is_trivial,
-    conjugation_basis,
     conjugation_stable_under,
+    generator_blocks,
 )
 
-from helpers import conjugacy_classes, conjugation_stable, naive_closure
+from helpers import arbitrary_tables, conjugacy_classes, conjugation_stable, naive_closure, naive_generators
 
 
 def test_compose_applies_right_factor_first():
@@ -297,7 +297,7 @@ def test_sorted_elements_and_index():
 
 
 class CountedTable:
-    """A ConjugationTable whose entry reads are counted in reads."""
+    """A table whose entry reads, table[x, y], are counted in reads."""
 
     def __init__(self, table):
         self.table, self.reads = table, []
@@ -307,32 +307,52 @@ class CountedTable:
         return self.table[key]
 
 
+def assert_generator_blocks(table, members):
+    """generator_blocks of the members, against the oracles: each block
+    entry (z, x, y) has table[x, y] == z with x and y reached earlier, the
+    blocks partition the members, the generators and the stability flag
+    are naive_generators', and at most 2 * |generators| * |members| table
+    reads are made.  Returns the generators, the flag and the reads."""
+    counted = CountedTable(table)
+    blocks, stable = generator_blocks(counted, members)
+    reached = []
+    for g, block in blocks:
+        reached.append(g)
+        for z, x, y in block:
+            assert table[x, y] == z and x in reached and y in reached
+            reached.append(z)
+    assert sorted(reached) == sorted(set(members))
+    generators = [g for g, _ in blocks]
+    assert (generators, stable) == naive_generators(table, members)
+    assert len(counted.reads) <= 2 * len(generators) * len(members)
+    return generators, stable, len(counted.reads)
+
+
 def assert_conjugation_basis(members, universe=None):
-    """conjugation_basis, on the positions of the members in the
+    """generator_blocks, on the positions of the members in the
     ConjugationTable of universe (the members themselves by default),
-    against the oracles: a subsequence of the members in their order,
-    generating the same group, with the stability flag of conjugation by
-    every member (and by every element of the group they generate), after
-    at most |basis| * |members| table reads and no conjugate of its own.
-    On a fresh table it conjugates at most those entries.  Returns the
-    basis as permutations and the flag."""
+    against the oracles of assert_generator_blocks and the group ones: a
+    subsequence of the members in their order, generating the same group,
+    with the stability flag of conjugation by every member (and by every
+    element of the group they generate), and no conjugate of its own.  On
+    a fresh table it conjugates at most the entries it reads.  Returns the
+    generators as permutations and the flag."""
     universe = list(members) if universe is None else universe
     positions_of_members = [universe.index(w) for w in members]
     filled = ConjugationTable(universe)
     assert len(filled.rows) == len(universe)
-    table = CountedTable(filled)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(perm, "conjugate", None)
-        positions, stable = conjugation_basis(table, positions_of_members)
+        positions, stable, reads = assert_generator_blocks(filled, positions_of_members)
     fresh = ConjugationTable(universe)
-    assert conjugation_basis(fresh, positions_of_members) == (positions, stable)
-    assert len(fresh) <= len(table.reads)
+    blocks, fresh_stable = generator_blocks(fresh, positions_of_members)
+    assert ([g for g, _ in blocks], fresh_stable) == (positions, stable)
+    assert len(fresh) <= reads
     basis = [universe[i] for i in positions]
     it = iter(members)
     assert all(b in it for b in basis)
     assert naive_closure(basis) == naive_closure(members)
     assert stable == conjugation_stable_under(members, members) == conjugation_stable(members)
-    assert len(table.reads) <= len(basis) * len(members)
     return basis, stable
 
 
@@ -363,6 +383,16 @@ def test_conjugation_basis_matches_oracles(data):
     assert_conjugation_basis(members, list(universe))
 
 
+@given(arbitrary_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_blocks_of_arbitrary_tables_match_the_naive_closure(q, data):
+    # total tables that need not be quandles, over some of their points in
+    # any order: an entry outside those points breaks stability
+    points = data.draw(st.permutations(range(q.n)))
+    members = points[: data.draw(st.integers(min_value=1, max_value=q.n))]
+    assert_generator_blocks(q, members)
+
+
 def test_conjugation_basis_fixed_cases():
     t3 = all_transpositions(3)
     rot = (1, 2, 0)
@@ -390,7 +420,7 @@ def test_conjugation_basis_of_inner_omegas(token, size):
     else:
         q = dihedral(int(token[1:]))
     omega = inn(q).omega
-    basis, stable = conjugation_basis(ConjugationTable(omega), range(len(omega)))
-    assert stable and len(basis) == size
+    blocks, stable = generator_blocks(ConjugationTable(omega), range(len(omega)))
+    assert stable and len(blocks) == size
     if len(omega) <= 24:
         assert_conjugation_basis(list(omega))
