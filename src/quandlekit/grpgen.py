@@ -36,9 +36,11 @@ the source omega onto the target omega, and a star morphism's sigma is an
 isomorphism of conjugation quandles from the source omega onto gamma.
 Either is fixed by its values on a quandle generating set of the source
 omega, so the search branches on those and propagates the rest; the two
-flavors differ only in whether values may repeat, which way element orders
-divide and which way the homomorphism at each leaf is extended.  No subset
-of the target omega is searched.  The search and the checks read
+flavors differ only in whether values may repeat and which way element
+orders divide.  Each complete sigma is kept when the flavor's own check,
+check_surj_morphism or check_star_morphism, accepts it, so that check is
+the one place a group-side morphism is validated.  No subset of the
+target omega is searched.  The search and the checks read
 conjugates of omega members from GenPair.conj_table.
 """
 
@@ -63,6 +65,7 @@ from .perm import (
     group_from_lines,
     group_to_lines,
     identity,
+    integers,
     perm_order,
     require_recursion_depth,
 )
@@ -462,9 +465,10 @@ def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm
     return out
 
 
-def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int, ...]]:
-    """Every sigma, one target omega position per source omega member, of
-    a morphism src -> tgt: surjective (injective False) or star (True).
+def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_PositionMorphism]:
+    """Every morphism src -> tgt, surjective (injective False) or star
+    (True), found as its sigma: one target omega position per source omega
+    member.
 
     sigma is a homomorphism of conjugation quandles from the source omega
     onto the target omega (surjective), or an isomorphism onto its image
@@ -479,16 +483,38 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int
     dies when such a conjugate leaves the target omega or clashes with
     sigma, or when a value repeats with no slack left: a surjective sigma
     may repeat k - m values to cover m target members from k, a star sigma
-    none.  A complete sigma with no slack left is kept when its values on Q
-    extend to a homomorphism, from the source group (surjective) or to it
-    (star, sigma inverted); that homomorphism then agrees with sigma on
-    all of omega.  Surjective output is sorted by sigma; star output by
-    gamma's positions, then by the source positions of the projection's
-    values in gamma order.  A smaller source omega has no surjective
-    morphism, and a larger one, or one not closed under its own
-    conjugation, no star morphism.  Trying more than SUBSET_CAP
-    assignments, or a Q deeper than the interpreter's stack allows,
-    raises CapExceeded.
+    none.
+
+    A complete sigma has no slack left (k values on m target members
+    repeat at least k - m times), and it is kept exactly when the flavor's
+    own check, check_surj_morphism or check_star_morphism, accepts it, so
+    every morphism returned has passed that check once.  That is the
+    verdict of extending sigma's values on Q alone (star: the inverse's
+    values on sigma(Q)), for three reasons.  First, sigma is already a
+    quandle homomorphism on all of omega: the search checked x |> y for
+    every ordered pair of assigned points, and every point not in Q was
+    assigned as such a conjugate, so omega is the |> closure of Q.  Second,
+    in the star flavor gamma is closed under |> for the same reason:
+    sigma(x) |> sigma(y) = sigma(x |> y) lies in gamma (the source omega is
+    closed, or the search returns nothing), so the check finds gamma
+    stable, sigma(Q) has gamma as its |> closure, and a sigma with no
+    repeat is a bijection onto gamma.  Third, the check extends a
+    homomorphism from a generating set of its own, the source's
+    omega_basis or gamma's generator_blocks generators, whose |> closure is
+    also all of omega or gamma, and compares it with sigma (star: its
+    inverse) on the rest.  A group homomorphism preserves |>, and so does
+    sigma, so the two agree on the |> closure of any set they agree on: one
+    that extends the values on Q agrees with sigma everywhere, hence on the
+    check's generating set, and one the check finds agrees with sigma on
+    Q.  So one exists exactly when the check finds one, and a surjective
+    sigma with no slack left covers the target omega, as the check asks.
+
+    Surjective output is sorted by sigma; star output by gamma's
+    positions, then by the source positions of the projection's values in
+    gamma order.  A smaller source omega has no surjective morphism, and a
+    larger one, or one not closed under its own conjugation, no star
+    morphism.  Trying more than SUBSET_CAP assignments, or a Q deeper than
+    the interpreter's stack allows, raises CapExceeded.
     """
     omega, lam = src.omega, tgt.omega
     k, m = len(omega), len(lam)
@@ -498,12 +524,13 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int
     if injective and any(-1 in row for row in table):
         return []
     word = "star" if injective else "surjective"
-    step, degrees = (-1, (tgt.degree, src.degree)) if injective else (1, (src.degree, tgt.degree))
+    flavor = StarMorphism if injective else SurjMorphism
+    check = check_star_morphism if injective else check_surj_morphism
     src_order, tgt_order = [perm_order(w) for w in omega], [perm_order(w) for w in lam]
     order = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
     sigma, preimage = [-1] * k, [-1] * m
     assigned: list[int] = []
-    found: list[tuple[int, ...]] = []
+    found: list[_PositionMorphism] = []
     tried, slack = 0, 0 if injective else k - m
 
     def assign(q: int, a: int) -> bool:
@@ -540,15 +567,14 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int
             i += 1
         return True
 
-    def search(gens: list[int]) -> None:
+    def search(depth: int) -> None:
         nonlocal tried, slack
         if len(assigned) == k:
-            if not slack:
-                pairs = [(omega[q], lam[sigma[q]])[::step] for q in gens]
-                if extend_hom(pairs, *degrees) is not None:
-                    found.append(tuple(sigma))
+            mor = flavor(src, tgt, tuple(sigma))
+            if not check(mor):
+                found.append(mor)
             return
-        depth = len(gens) + 1
+        depth += 1
         require_recursion_depth(depth, "%s morphism search over %d generators" % (word, depth))
         q = next(x for x in order if sigma[x] == -1)
         oq = src_order[q]
@@ -565,7 +591,7 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int
                     " assignments" % (word, SUBSET_CAP)
                 )
             if assign(q, a):
-                search(gens + [q])
+                search(depth)
             for x in assigned[mark:]:
                 if preimage[sigma[x]] == x:
                     preimage[sigma[x]] = -1
@@ -573,22 +599,21 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[tuple[int
             del assigned[mark:]
             slack = spare
 
-    search([])
-    if injective:
-        return sorted(found, key=lambda s: (sorted(s), sorted(range(k), key=s.__getitem__)))
-    return sorted(found)
+    search(0)
+    rank = (lambda s: (sorted(s), sorted(range(k), key=s.__getitem__))) if injective else tuple
+    return sorted(found, key=lambda f: rank(f.images))
 
 
 def enumerate_surj_morphisms(src: GenPair, tgt: GenPair) -> list[SurjMorphism]:
     """All SurjMorphisms src -> tgt, sorted by their images: _sigma_search
     with repeated values allowed."""
-    return [SurjMorphism(src, tgt, s) for s in _sigma_search(src, tgt, False)]
+    return _sigma_search(src, tgt, False)
 
 
 def enumerate_star_morphisms(src: GenPair, tgt: GenPair) -> list[StarMorphism]:
     """All StarMorphisms src -> tgt, in canonical order, duplicate free:
     _sigma_search with every value used once."""
-    return [StarMorphism(src, tgt, s) for s in _sigma_search(src, tgt, True)]
+    return _sigma_search(src, tgt, True)
 
 
 def genpair_to_text(pair: GenPair) -> str:
@@ -615,7 +640,7 @@ def genpair_from_text(text: str, cap: int = DEFAULT_CAP) -> GenPair:
     toks = lines[-1].split()[1:]
     if not toks:
         raise ValueError("omega line lists no indices")
-    idxs = [int(tok) for tok in toks]
+    idxs = integers(toks, lines[-1], "'omega <indices>'")
     for i in idxs:
         if not 0 <= i < len(order):
             raise ValueError("omega index %d out of range for group of order %d" % (i, len(order)))

@@ -88,12 +88,20 @@ def perm_to_text(p: Perm) -> str:
     return "[" + " ".join(str(i) for i in p) + "]"
 
 
+def integers(words: Iterable[str], line: str, form: str) -> list[int]:
+    """The words as integers, or a ValueError naming the line and the form
+    it should take."""
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise ValueError("line %r is not of the form %s" % (line, form)) from None
+
+
 def perm_from_text(text: str) -> Perm:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("permutation text must look like [i0 i1 ... ik]")
-    body = text[1:-1].split()
-    images = tuple(int(tok) for tok in body)
+    images = tuple(integers(text[1:-1].split(), text, "[i0 i1 ... ik]"))
     if not is_perm(images):
         raise ValueError("not a permutation: %s" % text)
     return images
@@ -395,19 +403,16 @@ def group_from_lines(lines: Sequence[str], cap: int = DEFAULT_CAP) -> PermGroup:
     if not head:
         raise ValueError("empty group header line")
     kind = head[0]
-    if kind in ("cyclic", "dihedral", "symmetric"):
+    families = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}
+    if kind in families:
         if len(head) != 2 or len(lines) != 1:
             raise ValueError("family line must be '%s n' on its own" % kind)
-        n = int(head[1])
-        if kind == "cyclic":
-            return cyclic_group(n, cap=cap)
-        if kind == "dihedral":
-            return dihedral_group(n, cap=cap)
-        return symmetric_group(n, cap=cap)
+        (n,) = integers(head[1:], lines[0], "'%s <n>'" % kind)
+        return families[kind](n, cap=cap)
     if kind == "perms":
         if len(head) != 2:
             raise ValueError("expected 'perms <degree>'")
-        degree = int(head[1])
+        (degree,) = integers(head[1:], lines[0], "'perms <degree>'")
         gens = [perm_from_text(line) for line in lines[1:]]
         if not gens:
             raise ValueError("perms block needs at least one generator line")

@@ -28,6 +28,7 @@ from .perm import (
     Perm,
     PermGroup,
     close_group,
+    integers,
     inverse,
     is_perm,
     perm_to_text,
@@ -345,7 +346,7 @@ def quandle_from_text(text: str) -> Quandle:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "quandle":
         raise ValueError("first line must be 'quandle <n>'")
-    n = int(head[1])
+    (n,) = integers(head[1:], lines[0], "'quandle <n>'")
     if len(lines) != n + 1:
         raise ValueError("expected %d table rows, found %d" % (n, len(lines) - 1))
     rows = []
@@ -353,7 +354,7 @@ def quandle_from_text(text: str) -> Quandle:
     saw_label = False
     for line in lines[1:]:
         body, _, comment = line.partition("#")
-        row = tuple(int(tok) for tok in body.split())
+        row = tuple(integers(body.split(), line, "'<n> entries [# label]'"))
         rows.append(row)
         label = comment.strip()
         labels.append(label)

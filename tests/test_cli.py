@@ -162,6 +162,26 @@ def test_homs_rejects_invalid_table(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, text, line, form",
+    [
+        ("check", "quandle x\n", "'quandle x'", "'quandle <n>'"),
+        ("check", "quandle 2\n0 a\n1 1\n", "'0 a'", "'<n> entries [# label]'"),
+        ("star-homs", "dihedral x\nomega 0\n", "'dihedral x'", "'dihedral <n>'"),
+        ("star-homs", "perms 3\n[1 0 x]\nomega 1\n", "'[1 0 x]'", "[i0 i1 ... ik]"),
+        ("star-homs", "dihedral 3\nomega 0 x\n", "'omega 0 x'", "'omega <indices>'"),
+    ],
+    ids=["quandle-header", "quandle-row", "family-line", "perms-generator", "omega-line"],
+)
+def test_file_parsers_name_the_line_with_a_non_integer(tmp_path, capsys, command, text, line, form):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    args = [str(bad)] if command == "check" else [str(bad), str(bad)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert line in err and form in err and "invalid literal" not in err, err
+
+
 def test_star_homs(tmp_path, capsys):
     p3 = tmp_path / "p3.pair"
     p9 = tmp_path / "p9.pair"

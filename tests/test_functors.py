@@ -36,7 +36,7 @@ from quandlekit import (
     trivial_quandle,
     verify_equivalence,
 )
-from quandlekit import functors, homs
+from quandlekit import functors, grpgen, homs
 from quandlekit.cli import load_corpus, main
 
 from helpers import as_point_map, compose_by_extension, iso_class_representatives
@@ -602,11 +602,20 @@ def _constant(f):
             id="forward",
         ),
         # well formed but invalid: only a check that verify_equivalence runs
-        # itself (the constructors build without checking) catches each
+        # itself (the constructors build without checking) catches each.  A
+        # forward image is not checked on its own: it differs from every
+        # enumerated morphism, which passed the flavor's check in the search,
+        # so functor_onto and the laws that compare it catch it
         pytest.param(
             "forward",
             _then(_corrupted),
-            {"enumeration", "functor_F_identity"},
+            {
+                "functor_F_identity",
+                "functor_onto",
+                "theta_naturality",
+                "eta_naturality",
+                "functor_F_composition",
+            },
             id="non-hom-forward",
         ),
         pytest.param(
@@ -656,6 +665,28 @@ def test_verify_equivalence_checks_each_quandle_map_once(monkeypatch, mode):
     report = verify_equivalence(corpus, mode, names=["r3", "r5"])
     assert report.failures == []
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_checks_each_group_side_morphism_once(monkeypatch, mode):
+    # the flavor's check runs on eta once per member and never on a forward
+    # image: every enumerated morphism passed it inside the search, and
+    # functor_onto matches the forward images with those
+    corpus = [dihedral(3), dihedral(5)]
+    fl = functors._flavor(mode)
+    pairs = [to_pair(q) for q in corpus]
+    etas = [fl.eta(p, to_pair(to_quandle(p))) for p in pairs]
+    check_name = fl.check.__name__
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return getattr(grpgen, check_name)(m)
+
+    monkeypatch.setattr(functors, check_name, spy)
+    report = verify_equivalence(corpus, mode, names=["r3", "r5"])
+    assert report.failures == []
+    assert calls == etas
 
 
 @pytest.mark.parametrize("mode", ["surjective", "injective"])

@@ -350,6 +350,39 @@ def test_surj_enumeration_counts_before_it_searches(monkeypatch):
     assert searches == [False] * 4 + [True]
 
 
+@pytest.mark.parametrize(
+    "enumerate_morphisms, check_name, n_src, n_tgt",
+    [
+        (enumerate_surj_morphisms, "check_surj_morphism", 9, 3),
+        (enumerate_star_morphisms, "check_star_morphism", 3, 9),
+    ],
+    ids=["surjective", "star"],
+)
+def test_sigma_search_keeps_what_the_flavor_check_accepts(
+    monkeypatch, enumerate_morphisms, check_name, n_src, n_tgt
+):
+    # a complete sigma is kept exactly when the flavor's check, read from
+    # grpgen's globals, returns []: a check that rejects one chosen sigma
+    # removes exactly that morphism, and each morphism kept went through
+    # the check once
+    src, tgt = refl_pair(n_src), refl_pair(n_tgt)
+    every = enumerate_morphisms(src, tgt)
+    assert len(every) > 2
+    rejected = every[len(every) // 2].key()
+    real = getattr(grpgen, check_name)
+    checked = []
+
+    def spy(m):
+        checked.append(m.key())
+        return ["rejected"] if m.key() == rejected else real(m)
+
+    monkeypatch.setattr(grpgen, check_name, spy)
+    kept = enumerate_morphisms(src, tgt)
+    assert [m.key() for m in kept] == [m.key() for m in every if m.key() != rejected]
+    assert checked.count(rejected) == 1
+    assert all(checked.count(m.key()) == 1 for m in kept)
+
+
 def test_compose_surj():
     p9, p3 = refl_pair(9), refl_pair(3)
     ms = enumerate_surj_morphisms(p9, p3)
