@@ -130,14 +130,6 @@ def _parse_matrix(text: str, rank: int) -> list[list[int]]:
         raise ValueError("PHI must be x<k> or rows like 0,1;-1,0, got %r" % text) from None
 
 
-def _family_group(words: list[str]) -> PermGroup:
-    if not words:
-        raise ValueError("missing group family, e.g. 'symmetric 3'")
-    if len(words) == 2:
-        _integer(words[1])  # int() inside group_from_lines would not name N
-    return group_from_lines([" ".join(words)])
-
-
 def _resolve_omega(family: list[str], group: PermGroup, keyword: str) -> list:
     if keyword == "all":
         return group.sorted_elements()
@@ -146,11 +138,11 @@ def _resolve_omega(family: list[str], group: PermGroup, keyword: str) -> list:
     if keyword == "reflections":
         if family[0] != "dihedral":
             raise ValueError("'reflections' needs a dihedral group")
-        return dihedral_reflections(int(family[1]))
+        return dihedral_reflections(len(group) // 2)
     if keyword == "transpositions":
         if family[0] != "symmetric":
             raise ValueError("'transpositions' needs a symmetric group")
-        return all_transpositions(int(family[1]))
+        return all_transpositions(group.degree)
     raise ValueError("omega keyword must be all, nonid, reflections or transpositions")
 
 
@@ -179,7 +171,7 @@ def cmd_make(args: argparse.Namespace) -> int:
         made = alexander_quandle(factors, _parse_matrix(spec[2], len(factors)))
     elif kind in ("conj", "genpair") and len(spec) >= 3:
         family = spec[1:-1]
-        group = _family_group(family)
+        group = group_from_lines([" ".join(family)])
         omega = _resolve_omega(family, group, spec[-1])
         if kind == "conj":
             made = conjugation_quandle(group, omega)

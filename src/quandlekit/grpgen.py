@@ -21,14 +21,15 @@ off, since point i of the conjugation quandle on omega is omega member i.
 The values as permutations are read-only views (SurjMorphism.mapping,
 StarMorphism.proj), derived on first read.  Permutations enter through
 make_surj_morphism and make_star_morphism, which refuse what the positions
-cannot hold, and the checks read them: extend_hom extends the values to a
-homomorphism of the group.  The checks extend from the values on a
-quandle generating set of omega or gamma, which generates the same group,
-and compare on the rest.  The subgroup a star morphism's gamma generates
-is closed from it on first use.  Star morphisms compose back to front:
-the new subset is the part of the outer morphism's subset that projects
-into the inner one's, and the new projection is the chain of the two on
-it; in sigma that is the same chain as for surjective morphisms.
+cannot hold, and the checks read them: each hands every value to
+extend_hom, which extends them to a homomorphism of the group when they
+extend at all, multiplying only by the members that earlier ones do not
+generate and comparing the values on the rest.  The subgroup a star
+morphism's gamma generates is closed from it on first use.  Star
+morphisms compose back to front: the new subset is the part of the outer
+morphism's subset that projects into the inner one's, and the new
+projection is the chain of the two on it; in sigma that is the same chain
+as for surjective morphisms.
 
 Both enumerators are one search over sigma, _sigma_search.  A surjective
 morphism's values on omega are a homomorphism of conjugation quandles from
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .perm import (
     DEFAULT_CAP,
@@ -84,12 +85,9 @@ class GenPair:
     conjugated by one another; conj_stable records whether omega is closed
     under conjugation by the whole group; faithful records whether only the
     identity centralizes all of omega; omega_position maps each omega
-    member to its index; omega_basis is a quandle generating set of omega
-    as positions, the generators perm.generator_blocks picks from
-    conj_table, which generate the group too.  All are computed on first
-    use.  Whoever builds the pair (inn, genpair_from_text, close_group)
-    bounds its group by a cap; a subgroup closed inside it takes no cap of
-    its own.
+    member to its index.  All are computed on first use.  Whoever builds
+    the pair (inn, genpair_from_text, close_group) bounds its group by a
+    cap; a subgroup closed inside it takes no cap of its own.
     """
 
     group: PermGroup
@@ -121,10 +119,6 @@ class GenPair:
     @cached_property
     def omega_position(self) -> dict[Perm, int]:
         return {w: i for i, w in enumerate(self.omega)}
-
-    @cached_property
-    def omega_basis(self) -> tuple[int, ...]:
-        return tuple([g for g, _ in generator_blocks(self.conj_table, range(len(self.omega)))[0]])
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -237,11 +231,7 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     """Report of violated clauses; empty means the morphism is valid: there
     is a position for each source omega member, each names a target omega
     member, and those values extend to a homomorphism and cover the target
-    omega.
-
-    The homomorphism is extended from the values on the source's
-    omega_basis, which generates the group, and compared with the values
-    on the rest of omega: they extend exactly when the two agree.
+    omega.  extend_hom is handed every value on omega.
     """
     report: list[str] = []
     src, tgt = m.source, m.target
@@ -252,9 +242,7 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     if not all(0 <= a < len(lam) for a in m.images):
         report.append("omega containment: image of omega leaves the target omega")
         return report
-    values = [lam[a] for a in m.images]
-    hom = extend_hom([(src.omega[i], values[i]) for i in src.omega_basis], src.degree, tgt.degree)
-    if hom is None or any(hom[w] != v for w, v in zip(src.omega, values)):
+    if extend_hom([(w, lam[a]) for w, a in zip(src.omega, m.images)], src.degree, tgt.degree) is None:
         report.append("homomorphism: the values on omega do not extend to a homomorphism")
         return report
     if len(set(m.images)) != len(lam):
@@ -343,12 +331,11 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
 
     No group is closed.  One perm.generator_blocks pass over gamma's
     entries of the target's conj_table, at most 2 * |generators| * |gamma|
-    of them, gives both its stability (under the subgroup gamma generates,
-    which is stability under generators of gamma) and a quandle
-    generating set; the homomorphism is extended from the projection's
-    values there and compared with it on the rest of gamma.  That is exact
-    for any gamma, stable or not, and any sigma: a repeated position, which
-    the projection would send to two values, extends to nothing.
+    of them, gives its stability (under the subgroup gamma generates,
+    which is stability under generators of gamma).  extend_hom is handed
+    every value of the projection, one per entry of sigma, so a repeated
+    position, which the projection would send to two values, extends to
+    nothing.
     """
     report: list[str] = []
     tgt, src = m.target, m.source
@@ -360,14 +347,12 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if not all(0 <= a < len(lam) for a in sigma):
         report.append("gamma: subset is not contained in the target omega")
         return report
-    blocks, stable = generator_blocks(tgt.conj_table, sorted(sigma))
-    if not stable:
+    if not generator_blocks(tgt.conj_table, sorted(sigma))[1]:
         report.append("stability: subset is not conjugation-stable in the domain group")
     if len(sigma) > len(omega):
         report.append("bijectivity: proj carries the subset outside the source omega")
         return report
-    hom = extend_hom([(lam[a], omega[sigma.index(a)]) for a, _ in blocks], tgt.degree, src.degree)
-    if hom is None or any(hom[lam[a]] != w for w, a in zip(omega, sigma)):
+    if extend_hom([(lam[a], w) for w, a in zip(omega, sigma)], tgt.degree, src.degree) is None:
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
     if len(sigma) != len(omega):
@@ -396,34 +381,52 @@ def is_star_isomorphism(m: StarMorphism) -> bool:
 
 
 def extend_hom(
-    pairs: Collection[tuple[Perm, Perm]], domain_degree: int, image_degree: int
+    pairs: Iterable[tuple[Perm, Perm]], domain_degree: int, image_degree: int
 ) -> dict[Perm, Perm] | None:
     """The homomorphism of the group the first entries generate that sends
     each to its second entry, as a dict over that group; None when there is
     none.
 
-    Every product (element, generator) is checked once, which pins the map
-    down on the whole generated subgroup: any clash between two derivations
-    of the same element surfaces here.  Without a clash the map sends e to
-    e and each x g to f(x) f(g), and every element is a positive word in
-    the generators, so it is a homomorphism.
+    It closes one pair at a time, as perm.close_group does.  A pair whose
+    element the closure already holds is compared with the map built so
+    far and is not multiplied.  Any other pair becomes a letter: it
+    multiplies, on the right, the elements found so far, and each element
+    found after it is multiplied by every letter.  So every product
+    (element, letter) is checked once, and every other pair's value is
+    compared once: any clash between two derivations of one element
+    surfaces.  Without a clash the map sends e to e and each x g to
+    f(x) f(g) for every letter g, and every element is a positive word in
+    the letters, so it is a homomorphism; every pair's element lies in the
+    group its earlier letters generate, so it is the one asked for.  A
+    homomorphism sending each first entry to its second derives every value
+    the same way, so a clash means there is none.
+
+    The loop is not close_group's: that one carries no images and inlines
+    its product, so one loop for both would branch on its caller.
     """
-    hom = {identity(domain_degree): identity(image_degree)}
-    frontier = [identity(domain_degree)]
-    while frontier:
-        nxt = []
-        for x in frontier:
+    e = identity(domain_degree)
+    hom = {e: identity(image_degree)}
+    found = [e]
+    letters: list[tuple[Perm, Perm]] = []
+    for g, u in pairs:
+        cur = hom.get(g)
+        if cur is not None:
+            if cur != u:
+                return None
+            continue
+        letters.append((g, u))
+        start = len(found)
+        for i, x in enumerate(found):  # found grows while it is read
             fx = hom[x]
-            for g, u in pairs:
-                y = compose(x, g)
-                fy = compose(fx, u)
+            for h, v in letters if i >= start else ((g, u),):
+                y = compose(x, h)
+                fy = compose(fx, v)
                 cur = hom.get(y)
                 if cur is None:
                     hom[y] = fy
-                    nxt.append(y)
+                    found.append(y)
                 elif cur != fy:
                     return None
-        frontier = nxt
     return hom
 
 
@@ -485,29 +488,13 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
     may repeat k - m values to cover m target members from k, a star sigma
     none.
 
-    A complete sigma has no slack left (k values on m target members
-    repeat at least k - m times), and it is kept exactly when the flavor's
-    own check, check_surj_morphism or check_star_morphism, accepts it, so
-    every morphism returned has passed that check once.  That is the
-    verdict of extending sigma's values on Q alone (star: the inverse's
-    values on sigma(Q)), for three reasons.  First, sigma is already a
-    quandle homomorphism on all of omega: the search checked x |> y for
-    every ordered pair of assigned points, and every point not in Q was
-    assigned as such a conjugate, so omega is the |> closure of Q.  Second,
-    in the star flavor gamma is closed under |> for the same reason:
-    sigma(x) |> sigma(y) = sigma(x |> y) lies in gamma (the source omega is
-    closed, or the search returns nothing), so the check finds gamma
-    stable, sigma(Q) has gamma as its |> closure, and a sigma with no
-    repeat is a bijection onto gamma.  Third, the check extends a
-    homomorphism from a generating set of its own, the source's
-    omega_basis or gamma's generator_blocks generators, whose |> closure is
-    also all of omega or gamma, and compares it with sigma (star: its
-    inverse) on the rest.  A group homomorphism preserves |>, and so does
-    sigma, so the two agree on the |> closure of any set they agree on: one
-    that extends the values on Q agrees with sigma everywhere, hence on the
-    check's generating set, and one the check finds agrees with sigma on
-    Q.  So one exists exactly when the check finds one, and a surjective
-    sigma with no slack left covers the target omega, as the check asks.
+    A complete sigma is kept exactly when the flavor's own check,
+    check_surj_morphism or check_star_morphism, accepts it, so every
+    morphism returned has passed that check once.  The check extends from
+    all of sigma's values (star: its inverse's), which is the definition of
+    a valid morphism.  Every valid morphism's sigma reaches a leaf: it
+    preserves |>, divides orders as above and repeats no more values than
+    the flavor allows, so no branch it lies on dies.
 
     Surjective output is sorted by sigma; star output by gamma's
     positions, then by the source positions of the projection's values in

@@ -29,7 +29,6 @@ from .perm import (
     PermGroup,
     close_group,
     integers,
-    inverse,
     is_perm,
     perm_to_text,
 )
@@ -243,7 +242,10 @@ class SubquandleWitness:
     """A subset of a quandle's points verified closed under all symmetries.
 
     Closed means: for interior x and y, both table[x][y] and the preimage of
-    y under row x stay inside the subset.
+    y under row x stay inside the subset.  Only the first is checked: a row
+    is a permutation, so one that maps the finite subset into itself is
+    injective on it, hence onto it, and the preimage of an interior y is
+    interior too.
     """
 
     parent: Quandle
@@ -262,9 +264,8 @@ class SubquandleWitness:
             row = self.parent.table[x]
             if not is_perm(row):
                 raise ValueError("parent row %d is not a permutation" % x)
-            rinv = inverse(row)
             for y in pts:
-                if row[y] not in inside or rinv[y] not in inside:
+                if row[y] not in inside:
                     raise ValueError("subset is not closed under the symmetries")
 
     def as_quandle(self) -> Quandle:
@@ -279,7 +280,14 @@ class SubquandleWitness:
 
 
 def subquandle_closure(q: Quandle, seed: Iterable[int]) -> SubquandleWitness:
-    """Smallest subset containing the seed and closed under all interior symmetries."""
+    """Smallest subset containing the seed and closed under all interior
+    symmetries and their inverses.
+
+    Only the symmetries are applied: a row that maps a finite subset into
+    itself maps it onto itself, being injective, so the inverse rows add
+    nothing once the rows do.  SubquandleWitness checks that the rows of
+    the subset are permutations.
+    """
     pts = set(seed)
     if not pts:
         raise ValueError("seed must be nonempty")
@@ -291,12 +299,11 @@ def subquandle_closure(q: Quandle, seed: Iterable[int]) -> SubquandleWitness:
         changed = False
         for x in sorted(pts):
             row = q.table[x]
-            rinv = inverse(row)
             for y in sorted(pts):
-                for z in (row[y], rinv[y]):
-                    if z not in pts:
-                        pts.add(z)
-                        changed = True
+                z = row[y]
+                if z not in pts:
+                    pts.add(z)
+                    changed = True
     return SubquandleWitness(q, tuple(sorted(pts)))
 
 

@@ -63,6 +63,18 @@ def naive_generators(table, members):
     return generators, stable
 
 
+def naive_subquandle_closure(q, seed):
+    """The seed's closure under the row of each interior point and its
+    inverse: y's image and y's preimage under row x are added for interior
+    x and y until nothing new comes."""
+    pts = set(seed)
+    while True:
+        more = {z for x in pts for y in pts for z in (q.table[x][y], q.table[x].index(y))} - pts
+        if not more:
+            return pts
+        pts |= more
+
+
 def naive_closure(gens):
     """Positive products from the identity, breadth first."""
     return set(closure_words(gens))

@@ -64,15 +64,30 @@ def test_make_rejects_bad_specs(capsys):
     assert main(["make", "alexander", "z5", "x5"]) == 2  # 5 is 0 mod 5
     assert main(["make", "conj", "dihedral", "9", "transpositions"]) == 2
     capsys.readouterr()
-    # a word that is no integer is named, with the form it should take
+    # a word that is no integer is named, or its line, with the form it
+    # should take
     for spec, word, form in (
         (["alexander", "z5", "abc"], "'abc'", "PHI must be x<k> or rows like 0,1;-1,0"),
         (["dihedral", "abc"], "'abc'", "N must be an integer"),
-        (["genpair", "dihedral", "x", "reflections"], "'x'", "N must be an integer"),
+        (["genpair", "dihedral", "x", "reflections"], "line 'dihedral x'", "'dihedral <n>'"),
     ):
         assert main(["make", *spec]) == 2
         err = capsys.readouterr().err
         assert word in err and form in err and "invalid literal" not in err, (spec, err)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (["genpair", "cyclic", "1", "nonid"], "omega must be nonempty"),
+        (["genpair", "cyclic", "4", "reflections"], "'reflections' needs a dihedral group"),
+        (["genpair", "dihedral", "3", "rotations"], "omega keyword must be all, nonid, reflections or transpositions"),
+    ],
+    ids=["nonid-of-trivial-group", "reflections-of-cyclic", "unknown-omega-keyword"],
+)
+def test_make_genpair_refuses_omegas_it_cannot_build(capsys, spec, message):
+    assert main(["make", *spec]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_make_file_normalizes(tmp_path, capsys):

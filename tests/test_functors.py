@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from quandlekit import (
     compose_star,
     compose_surj,
     conjugation_quandle,
+    cyclic_group,
     dihedral,
     enumerate_homs,
     enumerate_star_morphisms,
@@ -29,6 +31,7 @@ from quandlekit import (
     inn,
     is_faithful,
     is_star_isomorphism,
+    make_genpair,
     symmetric_group,
     theta,
     to_pair,
@@ -807,3 +810,22 @@ def test_both_flavors_store_the_same_positions():
             assert m.domain_omega == tuple(p2.omega[a] for a in sorted(set(sigma)))
             stars += 1
     assert bijective > 50 and stars > bijective
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: to_quandle(make_genpair(cyclic_group(3), [(1, 2, 0)])),
+            "omega has a non-trivial centralizer",
+        ),
+        (
+            lambda: verify_equivalence([dihedral(3)], "surjective", names=["r3", "r5"]),
+            "names length differs from corpus length",
+        ),
+    ],
+    ids=["to-quandle-abelian", "verify-names-length"],
+)
+def test_functor_entry_points_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 
 import pytest
@@ -41,6 +42,7 @@ from helpers import (
     conjugation_stable,
     extends_to_hom,
     iso_class_representatives,
+    naive_closure,
 )
 
 
@@ -248,10 +250,11 @@ def clause_tags(report):
 
 def test_surj_check_extends_exactly_when_the_oracle_does():
     # every map of one omega into another, bijective or not: the check
-    # extends from a quandle generating set of the source omega and compares
-    # on the rest, which must agree with extending from all of omega
+    # hands every value to extend_hom, which multiplies by the members that
+    # its earlier ones do not generate and compares the values on the rest;
+    # some census omega has a member of the latter kind, so both paths run
     pairs = census_pairs()
-    assert any(len(p.omega_basis) < len(p.omega) for p in pairs)
+    assert any(p.omega[i] in naive_closure(p.omega[:i]) for p in pairs for i in range(1, len(p.omega)))
     seen = rejected = 0
     for src, tgt in itertools.product(pairs, repeat=2):
         for images in itertools.product(tgt.omega, repeat=len(src.omega)):
@@ -293,6 +296,68 @@ def test_star_check_extends_exactly_when_the_oracle_does():
             stable_seen += stable
             unstable_seen += not stable
     assert stable_seen and unstable_seen and rejected and refused
+
+
+def test_extend_hom_matches_the_oracle():
+    # every map of one census omega into another, handed over in omega order
+    # and reversed: the map on the whole group is the oracle's, and None
+    # comes exactly when the oracle finds no homomorphism
+    pairs = census_pairs()
+    seen = rejected = 0
+    for src, tgt in itertools.product(pairs, repeat=2):
+        for images in itertools.product(tgt.omega, repeat=len(src.omega)):
+            want = extends_to_hom(src.omega, images)
+            values = list(zip(src.omega, images))
+            assert extend_hom(values, src.degree, tgt.degree) == want, (src.omega, images)
+            assert extend_hom(values[::-1], src.degree, tgt.degree) == want, (src.omega, images)
+            seen += 1
+            rejected += want is None
+    assert seen > rejected > 0
+
+
+def counted_compositions(monkeypatch):
+    """A list that grows by one for every compose call grpgen makes from now
+    on."""
+    calls = []
+    real = grpgen.compose
+    monkeypatch.setattr(grpgen, "compose", lambda p, q: calls.append(1) or real(p, q))
+    return calls
+
+
+def test_extend_hom_compares_the_values_it_has_reached(monkeypatch):
+    # R3's third reflection lies in the group its first two generate: its
+    # value is compared with the map built so far, not multiplied
+    p = refl_pair(3)
+    a, b, c = p.omega
+    e = p.group.identity
+    assert c in naive_closure([a, b])
+    calls = counted_compositions(monkeypatch)
+    two = extend_hom([(a, a), (b, b)], 3, 3)
+    assert two == {g: g for g in p.group.elements}
+    multiplied = len(calls)
+    assert extend_hom([(a, a), (b, b), (c, c)], 3, 3) == two
+    assert len(calls) == 2 * multiplied
+    # a value at an element already reached that disagrees, at the identity,
+    # and at a repeated element given two values
+    assert extend_hom([(a, a), (b, b), (c, a)], 3, 3) is None
+    assert extends_to_hom(p.omega, (a, b, a)) is None
+    assert extend_hom([(a, a), (e, a)], 3, 3) is None
+    assert extend_hom([(a, a), (a, b)], 3, 3) is None
+    assert extend_hom([(a, b), (b, c), (a, b)], 3, 3) == extend_hom([(a, b), (b, c)], 3, 3)
+    assert extend_hom([], 3, 2) == {e: (0, 1)}
+
+
+def test_checks_multiply_only_by_the_members_that_generate(monkeypatch):
+    # inn(conj:s5) has 120 omega members, and 4 of them, taken in omega
+    # order, generate the group: each check's extension multiplies its 120
+    # elements by those 4, on both sides, and compares the other 116 values
+    s5 = symmetric_group(5)
+    p = inn(conjugation_quandle(s5, s5.sorted_elements()))
+    calls = counted_compositions(monkeypatch)
+    for check, ident in ((check_surj_morphism, identity_surj), (check_star_morphism, identity_star)):
+        calls.clear()
+        assert check(ident(p)) == []
+        assert len(calls) <= 960
 
 
 def test_surj_enumeration_matches_the_ordered_brute_force():
@@ -767,3 +832,23 @@ def test_extension_searches_refuse_to_overflow_the_stack(monkeypatch):
     assert len(enumerate_surj_morphisms(p3, p3)) == 6
     assert len(enumerate_surj_morphisms(p9, p3)) == 6  # 2 generators
     assert len(enumerate_star_morphisms(p3, p9)) == 18  # 2 generators
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: compose_surj(identity_surj(refl_pair(3)), identity_surj(refl_pair(9))),
+            "morphisms are not composable",
+        ),
+        (
+            lambda: compose_star(identity_star(refl_pair(3)), identity_star(refl_pair(9))),
+            "morphisms are not composable",
+        ),
+        (lambda: genpair_from_text("dihedral 3\nomega\n"), "omega line lists no indices"),
+    ],
+    ids=["compose-surj-apart", "compose-star-apart", "omega-line-empty"],
+)
+def test_pair_builders_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

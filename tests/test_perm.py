@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -424,3 +425,37 @@ def test_conjugation_basis_of_inner_omegas(token, size):
     assert stable and len(blocks) == size
     if len(omega) <= 24:
         assert_conjugation_basis(list(omega))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: close_group([]), "need at least one generator"),
+        (lambda: close_group([(0, 1), (0, 1, 2)]), "generators have mixed degrees"),
+        (lambda: close_group([(0, 0)]), "generator is not a permutation: (0, 0)"),
+        (lambda: group_from_lines([]), "empty group block"),
+        (lambda: group_from_lines(["  "]), "empty group header line"),
+        (lambda: group_from_lines(["cyclic 3 4"]), "family line must be 'cyclic n' on its own"),
+        (lambda: group_from_lines(["dihedral 3", "[1 0 2]"]), "family line must be 'dihedral n' on its own"),
+        (lambda: group_from_lines(["perms"]), "expected 'perms <degree>'"),
+        (lambda: group_from_lines(["perms 3"]), "perms block needs at least one generator line"),
+        (lambda: group_from_lines(["perms 3", "[1 0]"]), "generator degree does not match header"),
+        (lambda: group_from_lines(["bogus 3"]), "unknown group block kind: 'bogus'"),
+    ],
+    ids=[
+        "close-empty",
+        "close-mixed-degrees",
+        "close-non-permutation",
+        "block-empty",
+        "block-blank-header",
+        "family-extra-word",
+        "family-extra-line",
+        "perms-no-degree",
+        "perms-no-generator",
+        "perms-degree-mismatch",
+        "block-unknown-kind",
+    ],
+)
+def test_group_builders_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

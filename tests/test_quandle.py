@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,13 @@ from quandlekit import (
 from quandlekit.quandle import validate_abelian_automorphism
 from quandlekit.perm import centralizer_of_subset_is_trivial
 
-from helpers import abelian_automorphisms, all_quandles, axiom_violations, conjugacy_classes
+from helpers import (
+    abelian_automorphisms,
+    all_quandles,
+    axiom_violations,
+    conjugacy_classes,
+    naive_subquandle_closure,
+)
 
 
 def test_table_validation():
@@ -277,6 +285,22 @@ def test_subquandle_closure():
     assert subquandle_closure(c, [pt]).points == (pt,)
 
 
+def test_subquandle_closure_applies_no_inverse_rows_and_misses_nothing():
+    # the closure applies only the rows, which on a finite subset are onto
+    # once they are into, so it equals the closure under rows and inverse
+    # rows on every labeled quandle of order <= 4 and every seed
+    seen = smaller = 0
+    for n in range(1, 5):
+        for q in all_quandles(n):
+            for size in range(1, n + 1):
+                for seed in itertools.combinations(range(n), size):
+                    points = subquandle_closure(q, seed).points
+                    assert points == tuple(sorted(naive_subquandle_closure(q, seed))), (q.table, seed)
+                    seen += 1
+                    smaller += len(points) < n
+    assert seen > smaller > 0
+
+
 def test_subquandle_witness_rejects_open_sets():
     from quandlekit import SubquandleWitness
 
@@ -344,3 +368,24 @@ def test_quandle_text_round_trip():
         quandle_from_text("quandle 2\n0 1\n")
     with pytest.raises(ValueError):
         quandle_from_text("table 2\n0 1\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: conjugation_quandle(symmetric_group(3), []), "omega must be nonempty"),
+        (
+            lambda: conjugation_quandle(symmetric_group(3), [(1, 0, 2, 3)]),
+            "omega element (1, 0, 2, 3) is not in the group",
+        ),
+        (
+            lambda: inn_relative(dihedral(3), subquandle_closure(dihedral(5), [0])),
+            "subquandle belongs to a different quandle",
+        ),
+        (lambda: quandle_from_text(""), "empty quandle text"),
+    ],
+    ids=["conj-empty-omega", "conj-omega-outside", "inn-relative-other-quandle", "text-empty"],
+)
+def test_quandle_builders_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
