@@ -24,7 +24,6 @@ from pathlib import Path
 from .grpgen import (
     StarMorphism,
     enumerate_star_morphisms,
-    extend_hom,
     genpair_from_text,
     genpair_to_text,
     make_genpair,
@@ -244,12 +243,12 @@ def cmd_homs(args: argparse.Namespace) -> int:
 
 
 def _star_to_dict(m: StarMorphism) -> dict:
-    tpos, spos = m.target.group.element_index, m.source.group.element_index
-    pi = extend_hom(m.proj.items(), m.target.degree, m.source.degree)
+    """m's --json entry; m passed check_star_morphism, which built pi."""
+    tpos, pi = m.target.group.element_index, m.pi_indices
     return {
-        "subgroup": sorted(tpos(h) for h in pi),
+        "subgroup": sorted(pi),
         "gamma": sorted(tpos(g) for g in m.domain_omega),
-        "pi": sorted([tpos(h), spos(v)] for h, v in pi.items()),
+        "pi": sorted([h, v] for h, v in pi.items()),
         "pi_injective": len(set(pi.values())) == len(pi),
     }
 

@@ -16,6 +16,10 @@ are enumerated independently on both sides, the forward functor is checked
 to biject them, the round-trip isomorphisms are checked natural, and the
 functor laws are checked on every composable pair.  One loop serves both
 flavors; a small per-call record holds the morphism data that differs.
+Both composition laws share one loop over the composable pairs and one
+group-side composite per pair: a forward image equal to an enumerated
+morphism composes to the same composite, so the F law may read the
+enumerated morphism in its place.
 """
 
 from __future__ import annotations
@@ -148,6 +152,15 @@ def eta_star(p: GenPair, round_trip: GenPair) -> StarMorphism:
     return StarMorphism(round_trip, p, _eta_images(p, round_trip))
 
 
+def _failure_detail(exc: RuntimeError | ValueError) -> str:
+    """The detail a check records for exc, raised while it ran: its
+    message.  CapExceeded is raised again, since a cap limits the run and
+    refutes nothing."""
+    if isinstance(exc, CapExceeded):
+        raise exc
+    return str(exc)
+
+
 @dataclass
 class CheckRecord:
     check: str
@@ -178,10 +191,8 @@ class EquivalenceReport:
         message; CapExceeded, a RuntimeError too, propagates."""
         try:
             yield partial(self.add, check, instance)
-        except CapExceeded:
-            raise
         except (RuntimeError, ValueError) as exc:
-            self.add(check, instance, False, str(exc))
+            self.add(check, instance, False, _failure_detail(exc))
 
     @property
     def failures(self) -> list[CheckRecord]:
@@ -265,6 +276,36 @@ def _flavor(mode: str) -> _Flavor:
     raise ValueError("mode must be injective or surjective")
 
 
+def _leg(
+    homs: list[QuandleHom], forwards: list, morphisms: list, backwards: list[QuandleHom] | None
+) -> list[tuple]:
+    """The rows (f, F f, m, G m) one (i, j) leg hands the composition laws.
+
+    Each forward image F f is matched with the enumerated morphism it
+    equals, through a key -> index dict and ==.  When that is a bijection
+    (always, in a passing run), row n is (f, m, m, G m) for the n-th hom f
+    and the morphism m = F f: both laws read the object m, so one
+    composite m2 m1 serves both.  Otherwise row n holds the n-th hom and
+    the n-th enumerated morphism, in their own orders, None past the end of
+    either list, and the laws compose each side on its own.  G m is None
+    when the backward images were not built.
+    """
+    if backwards is None:
+        backwards = [None] * len(morphisms)
+    index = {m.key(): n for n, m in enumerate(morphisms)}
+    order = [index.get(fm.key()) for fm in forwards]
+    if (
+        len(morphisms) == len(forwards)
+        and set(order) == set(range(len(morphisms)))
+        and all(morphisms[n] == fm for n, fm in zip(order, forwards))
+    ):
+        return [(f, morphisms[n], morphisms[n], backwards[n]) for f, n in zip(homs, order)]
+    rows = itertools.zip_longest(
+        zip(homs, forwards), zip(morphisms, backwards), fillvalue=(None, None)
+    )
+    return [(f, fm, m, g) for (f, fm), (m, g) in rows]
+
+
 # Composable triples on which verify_equivalence samples associativity.
 LAW_SAMPLES = 40
 
@@ -297,6 +338,16 @@ def verify_equivalence(
     other unchecked map: the identity and the enumerated homs are homs
     already.  Composites are not checked: the laws compare them with
     checked morphisms, and that comparison is the law itself.
+
+    The two composition laws run in one loop per composable triple, which
+    builds the group-side composite m2 m1 once per pair: the F law compares
+    it with F(f2 f1), and the G law compares G(m2 m1) with G(m2) G(m1).
+    Sharing it keeps the F law's check: each leg's forward images are
+    matched with the enumerated morphisms they equal (_leg), and the
+    composite is a function of what == compares (the pairs and the
+    positions), so F(f2) F(f1) is the composite of the matched morphisms.
+    A leg whose forward images do not match its enumerated morphisms one
+    to one (only in a failing run) has each side composed on its own.
 
     cap bounds each inner group to_pair lists; every group the run builds
     after that is a subgroup of one of them and takes no cap of its own.
@@ -343,9 +394,10 @@ def verify_equivalence(
 
     q_homs: dict[tuple[int, int], list[QuandleHom]] = {}
     g_homs: dict[tuple[int, int], list] = {}
-    f_mapped: dict[tuple[int, int], list] = {}
     f_by_mapping: dict[tuple[int, int], dict] = {}
     g_mapped: dict[tuple[int, int], list[QuandleHom]] = {}
+    # per leg, the rows (f, F f, m, G m) the composition laws read (_leg)
+    legs: dict[tuple[int, int], list[tuple]] = {}
 
     for i, j in itertools.product(range(k), repeat=2):
         inst = "%s -> %s" % (names[i], names[j])
@@ -353,7 +405,7 @@ def verify_equivalence(
             qh = enumerate_homs(corpus[i], corpus[j], fl.mode)
             gh = fl.enumerate(pairs[i], pairs[j])
             mapped = [fl.forward(f, pairs[i], pairs[j]) for f in qh]
-            q_homs[i, j], g_homs[i, j], f_mapped[i, j] = qh, gh, mapped
+            q_homs[i, j], g_homs[i, j] = qh, gh
         if (i, j) not in q_homs:
             continue
         f_by_mapping[i, j] = {f.mapping: m for f, m in zip(qh, mapped)}
@@ -399,36 +451,45 @@ def verify_equivalence(
                     fl.compose(m, et_i) == fl.compose(et_j, fm) for m, fm in zip(gh, forwards)
                 )
                 add(ok, "%d morphisms" % len(gh))
+        legs[i, j] = _leg(qh, mapped, gh, g_mapped.get((i, j)))
 
-    # functor composition laws on every composable pair
+    # functor composition laws on every composable pair, one loop for both:
+    # where F f is the enumerated morphism itself, F's composite is G's
     for i, j, l in itertools.product(range(k), repeat=3):
         if not q_homs.get((i, j)) or not q_homs.get((j, l)):
             continue
         inst = "%s -> %s -> %s" % (names[i], names[j], names[l])
-        with report.checking("functor_F_composition", inst) as add:
-            detail = ""
-            for (f1, m1), (f2, m2) in itertools.product(
-                zip(q_homs[i, j], f_mapped[i, j]), zip(q_homs[j, l], f_mapped[j, l])
-            ):
-                # an (i, l) enumeration that failed leaves every composite missing
-                composite = tuple([f2.mapping[v] for v in f1.mapping])
-                expected = f_by_mapping.get((i, l), {}).get(composite)
+        run_g = (i, j) in g_mapped and (j, l) in g_mapped
+        # an (i, l) enumeration that failed leaves every composite missing
+        by_mapping = f_by_mapping.get((i, l), {})
+        source, target = conjs[i], conjs[l]
+        f_fail = g_fail = None  # each law's first failure, None while it holds
+        for (f1, fm1, m1, g1), (f2, fm2, m2, g2) in itertools.product(legs[i, j], legs[j, l]):
+            c = None
+            if f_fail is None and f1 is not None and f2 is not None:
+                expected = by_mapping.get(tuple([f2.mapping[v] for v in f1.mapping]))
                 if expected is None:
-                    detail = "composite hom missing from enumeration"
-                    break
-                if fl.compose(m2, m1) != expected:
-                    detail = "F(f2 f1) != F(f2) F(f1)"
-                    break
-            add(not detail, detail)
-        if (i, j) in g_mapped and (j, l) in g_mapped:
-            with report.checking("functor_G_composition", inst) as add:
-                ok = all(
-                    fl.backward(fl.compose(m2, m1), conjs[i], conjs[l]) == compose_homs(g2, g1)
-                    for (m1, g1), (m2, g2) in itertools.product(
-                        zip(g_homs[i, j], g_mapped[i, j]), zip(g_homs[j, l], g_mapped[j, l])
-                    )
-                )
-                add(ok, "" if ok else "G(m2 m1) != G(m2) G(m1)")
+                    f_fail = "composite hom missing from enumeration"
+                else:
+                    try:
+                        c = fl.compose(fm2, fm1)
+                        if c != expected:
+                            f_fail = "F(f2 f1) != F(f2) F(f1)"
+                    except (RuntimeError, ValueError) as exc:
+                        f_fail = _failure_detail(exc)
+            if run_g and g_fail is None and m1 is not None and m2 is not None:
+                try:
+                    if c is None or fm1 is not m1 or fm2 is not m2:
+                        c = fl.compose(m2, m1)
+                    if fl.backward(c, source, target) != compose_homs(g2, g1):
+                        g_fail = "G(m2 m1) != G(m2) G(m1)"
+                except (RuntimeError, ValueError) as exc:
+                    g_fail = _failure_detail(exc)
+            if f_fail is not None and (g_fail is not None or not run_g):
+                break
+        report.add("functor_F_composition", inst, f_fail is None, f_fail or "")
+        if run_g:
+            report.add("functor_G_composition", inst, g_fail is None, g_fail or "")
 
     # associativity and unit laws of the group-side composition, sampled
     triples = []

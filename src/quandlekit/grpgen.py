@@ -24,8 +24,10 @@ make_surj_morphism and make_star_morphism, which refuse what the positions
 cannot hold, and the checks read them: each hands every value to
 extend_hom, which extends them to a homomorphism of the group when they
 extend at all, multiplying only by the members that earlier ones do not
-generate and comparing the values on the rest.  The subgroup a star
-morphism's gamma generates is closed from it on first use.  Star
+generate and comparing the values on the rest.  A star morphism keeps
+the projection its check extended, as element indices (pi_indices), for
+star-homs --json to read.  The subgroup a star morphism's gamma
+generates is closed from it on first use.  Star
 morphisms compose back to front: the new subset is the part of the outer
 morphism's subset that projects into the inner one's, and the new
 projection is the chain of the two on it; in sigma that is the same chain
@@ -261,10 +263,11 @@ class StarMorphism(_PositionMorphism):
     of gamma that the projection sends to source.omega[i].  gamma is
     set(images), so it is not stored.  proj is the projection's values as
     permutations, domain_omega lists gamma in canonical order, and
-    domain_group is the subgroup it generates; all three are derived on
-    first read.  domain_group lies inside the target group, so a closure
-    bounded by that group's order never raises.  make_star_morphism builds
-    one from the projection's values.
+    domain_group is the subgroup it generates, and pi_indices the
+    projection on it as element indices; all four are derived on first
+    read.  domain_group lies inside the target group, so a closure bounded
+    by that group's order never raises.  make_star_morphism builds one
+    from the projection's values.
     """
 
     @cached_property
@@ -280,6 +283,30 @@ class StarMorphism(_PositionMorphism):
     @cached_property
     def domain_group(self) -> PermGroup:
         return close_group(self.domain_omega, cap=len(self.target.group))
+
+    @cached_property
+    def pi_indices(self) -> dict[int, int] | None:
+        """The projection on the whole subgroup gamma generates, as element
+        indices (PermGroup.element_index): target group index -> source
+        group index; None when its values extend to no homomorphism.
+        extend_hom is handed every entry of sigma, so a repeated position,
+        which the projection would send to two values, extends to nothing.
+        Defined once every position names a target omega member and sigma
+        is no longer than the source omega: check_star_morphism tests both
+        before it reads this, and star-homs --json reads the map the check
+        built.  Indices, not permutations, are kept, so a morphism holds
+        two integers per subgroup element once checked.
+        """
+        lam = self.target.omega
+        hom = extend_hom(
+            [(lam[a], w) for w, a in zip(self.source.omega, self.images)],
+            self.target.degree,
+            self.source.degree,
+        )
+        if hom is None:
+            return None
+        tpos, spos = self.target.group.element_index, self.source.group.element_index
+        return {tpos(h): spos(v) for h, v in hom.items()}
 
     def proj_is_injective(self) -> bool:
         """For a valid morphism: proj maps onto the group the source omega
@@ -332,10 +359,10 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     No group is closed.  One perm.generator_blocks pass over gamma's
     entries of the target's conj_table, at most 2 * |generators| * |gamma|
     of them, gives its stability (under the subgroup gamma generates,
-    which is stability under generators of gamma).  extend_hom is handed
-    every value of the projection, one per entry of sigma, so a repeated
-    position, which the projection would send to two values, extends to
-    nothing.
+    which is stability under generators of gamma).  Whether the values
+    extend is read from StarMorphism.pi_indices, which hands extend_hom
+    every entry of sigma, so a repeated position extends to nothing; the
+    map it builds stays on the morphism for star-homs --json.
     """
     report: list[str] = []
     tgt, src = m.target, m.source
@@ -352,7 +379,7 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     if len(sigma) > len(omega):
         report.append("bijectivity: proj carries the subset outside the source omega")
         return report
-    if extend_hom([(lam[a], w) for w, a in zip(omega, sigma)], tgt.degree, src.degree) is None:
+    if m.pi_indices is None:
         report.append("homomorphism: the values on the subset do not extend to a homomorphism")
         return report
     if len(sigma) != len(omega):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit import dihedral, grpgen, quandle_from_text
+from quandlekit import cli, dihedral, grpgen, quandle_from_text
 from quandlekit.cli import _json_text, load_corpus, main
 from quandlekit.perm import RECURSION_MARGIN
 
@@ -273,6 +273,24 @@ def test_star_homs_json_matches_golden_digest(key, tmp_path, capsys):
     rc, out = run(capsys, "star-homs", *paths, "--json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STAR_HOMS[key]
+
+
+def test_star_homs_json_lists_the_projection_its_check_extended(monkeypatch, tmp_path, capsys):
+    # the check at each leaf of the search extends the projection, and
+    # --json lists that map: extend_hom runs once per check, none after,
+    # whichever module it is called from
+    paths = write_quandles_and_pairs(["r3", "r9"], tmp_path)
+    capsys.readouterr()
+    checks, extensions = [], []
+    check, extend = grpgen.check_star_morphism, grpgen.extend_hom
+    monkeypatch.setattr(grpgen, "check_star_morphism", lambda m: checks.append(m) or check(m))
+    for module in (grpgen, cli):
+        monkeypatch.setattr(
+            module, "extend_hom", lambda *a: extensions.append(a) or extend(*a), raising=False
+        )
+    rc, out = run(capsys, "star-homs", *paths, "--json")
+    assert rc == 0 and json.loads(out)["count"] == 18
+    assert len(extensions) == len(checks) >= 18
 
 
 def test_cap_bounds_every_group_the_cli_lists(tmp_path, capsys):

@@ -647,6 +647,171 @@ def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, ma
     assert {r.check for r in report.failures} == failing, report.summary()
 
 
+def _recording_to_pair(monkeypatch):
+    """Patch functors.to_pair to record every pair it builds, in order: the
+    corpus members' first, then their round trips'.  Returns the list."""
+    pairs = []
+    real_to_pair = functors.to_pair
+
+    def recording_to_pair(q, cap):
+        pairs.append(real_to_pair(q, cap))
+        return pairs[-1]
+
+    monkeypatch.setattr(functors, "to_pair", recording_to_pair)
+    return pairs
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_catches_one_wrong_composite_deep_in_the_laws(monkeypatch, mode):
+    # corpus r3, r9: R9 -> R9 -> R9 alone has 54 * 54 composable pairs per
+    # law.  compose is wrong on one pair only, the last two morphisms the
+    # search lists, so no naturality square and no sampled law meets it,
+    # and both composition laws must reach it inside their loop
+    fl = functors._flavor(mode)
+    r9 = to_pair(dihedral(9))
+    ms = fl.enumerate(r9, r9)
+    late, identity = (ms[-2].key(), ms[-1].key()), tuple(range(len(r9.omega)))
+    assert len(ms) ** 2 > 1000 and identity not in late
+    right = fl.compose(ms[-2], ms[-1]).images
+    wrong = next(m.images for m in ms if m.images != right)
+    pairs = _recording_to_pair(monkeypatch)
+
+    def wrong_on_one_pair(orig):
+        def fake(m2, m1):
+            out = orig(m2, m1)
+            ends = (m1.source, m1.target, m2.source, m2.target)
+            if all(p is pairs[1] for p in ends) and (m2.key(), m1.key()) == late:
+                return dataclasses.replace(out, images=wrong)
+            return out
+
+        return fake
+
+    _patch(monkeypatch, mode, "compose", wrong_on_one_pair)
+    report = verify_equivalence([dihedral(3), dihedral(9)], mode, names=["r3", "r9"])
+    assert [(r.check, r.instance, r.detail) for r in report.failures] == [
+        ("functor_F_composition", "r9 -> r9 -> r9", "F(f2 f1) != F(f2) F(f1)"),
+        ("functor_G_composition", "r9 -> r9 -> r9", "G(m2 m1) != G(m2) G(m1)"),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+@pytest.mark.parametrize("first", ["F", "G"])
+def test_verify_equivalence_checks_each_composition_law_past_the_others_failure(
+    monkeypatch, mode, first
+):
+    # corpus a, b, c, each R3.  compose is wrong on the last pair of
+    # a -> b -> c only, and one law fails on its first pair there: F when
+    # a -> c fails to enumerate (no composite to compare with), G when the
+    # backward map raises on the other composites of a -> b -> c, which
+    # compose tags.  The loop the laws share must still take the other law
+    # to the last pair
+    fl = functors._flavor(mode)
+    r3 = to_pair(dihedral(3))
+    ms = fl.enumerate(r3, r3)
+    late = (ms[-2].key(), ms[-1].key())
+    right = fl.compose(ms[-2], ms[-1]).images
+    wrong = next(m.images for m in ms if m.images != right)
+    pairs = _recording_to_pair(monkeypatch)
+
+    def wrong_on_the_last_pair(orig):
+        def fake(m2, m1):
+            out = orig(m2, m1)
+            a, b, c = pairs[:3]
+            if m1.source is a and m1.target is b and m2.source is b and m2.target is c:
+                if (m2.key(), m1.key()) == late:
+                    return dataclasses.replace(out, images=wrong)
+                out.composite = True
+            return out
+
+        return fake
+
+    def fail_a_to_c(orig):
+        def fake(f, source_pair, target_pair):
+            if source_pair is pairs[0] and target_pair is pairs[2]:
+                raise RuntimeError("injected fault")
+            return orig(f, source_pair, target_pair)
+
+        return fake
+
+    def fail_on_composites(orig):
+        def fake(m, *args):
+            if getattr(m, "composite", False):
+                raise RuntimeError("injected fault")
+            return orig(m, *args)
+
+        return fake
+
+    _patch(monkeypatch, mode, "compose", wrong_on_the_last_pair)
+    if first == "F":
+        _patch(monkeypatch, mode, "forward", fail_a_to_c)
+        expected = [
+            ("functor_F_composition", "composite hom missing from enumeration"),
+            ("functor_G_composition", "G(m2 m1) != G(m2) G(m1)"),
+        ]
+    else:
+        _patch(monkeypatch, mode, "backward", fail_on_composites)
+        expected = [
+            ("functor_F_composition", "F(f2 f1) != F(f2) F(f1)"),
+            ("functor_G_composition", "injected fault"),
+        ]
+    report = verify_equivalence([dihedral(3)] * 3, mode, names=["a", "b", "c"])
+    records = [r for r in report.records if r.instance == "a -> b -> c"]
+    assert [(r.check, r.detail) for r in records if not r.passed] == expected
+
+
+# The failures verify_equivalence records when the forward images of one
+# leg only are corrupted (_corrupted: well formed, no homomorphism), so they
+# match no enumerated morphism and the laws compose each side of that leg
+# on its own.  Pinned from the two separate law loops this one replaced.
+F_COMPOSITION_DETAIL = "F(f2 f1) != F(f2) F(f1)"
+UNMATCHED_LEG_FAILURES = {
+    "surjective": (
+        "r9",
+        "r3",
+        [
+            ["functor_onto", "r9 -> r3", "forward image must equal the enumerated group side"],
+            ["theta_naturality", "r9 -> r3", "6 homs"],
+            ["functor_F_composition", "r9 -> r3 -> r3", F_COMPOSITION_DETAIL],
+            ["functor_F_composition", "r9 -> r9 -> r3", F_COMPOSITION_DETAIL],
+        ],
+    ),
+    "injective": (
+        "r3",
+        "r9",
+        [
+            ["functor_onto", "r3 -> r9", "forward image must equal the enumerated group side"],
+            ["theta_naturality", "r3 -> r9", "18 homs"],
+            ["functor_F_composition", "r3 -> r3 -> r9", F_COMPOSITION_DETAIL],
+            ["functor_F_composition", "r3 -> r9 -> r9", F_COMPOSITION_DETAIL],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_records_the_same_failures_on_an_unmatched_leg(monkeypatch, mode):
+    source, target, expected = UNMATCHED_LEG_FAILURES[mode]
+    names = ["r3", "r9"]
+    pairs = _recording_to_pair(monkeypatch)
+
+    def corrupt_one_leg(orig):
+        def fake(f, source_pair, target_pair):
+            m = orig(f, source_pair, target_pair)
+            # round trips may equal the corpus pairs, so compare identities
+            i, j = names.index(source), names.index(target)
+            return _corrupted(m) if source_pair is pairs[i] and target_pair is pairs[j] else m
+
+        return fake
+
+    _patch(monkeypatch, mode, "forward", corrupt_one_leg)
+    report = verify_equivalence([dihedral(3), dihedral(9)], mode, names=names)
+    assert [[r.check, r.instance, r.detail] for r in report.failures] == expected
+    # the G law composes the enumerated side of that leg, which is right
+    g_laws = [r for r in report.records if r.check == "functor_G_composition"]
+    assert {r.instance for r in g_laws} >= {row[1] for row in expected[2:]}
+    assert all(r.passed for r in g_laws)
+
+
 @pytest.mark.parametrize("mode", ["surjective", "injective"])
 def test_verify_equivalence_checks_each_quandle_map_once(monkeypatch, mode):
     # check_hom runs on theta once per member and on each backward image
