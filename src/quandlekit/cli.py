@@ -243,13 +243,15 @@ def cmd_homs(args: argparse.Namespace) -> int:
 
 
 def _star_to_dict(m: StarMorphism) -> dict:
-    """m's --json entry; m passed check_star_morphism, which built pi."""
+    """m's --json entry; m passed check_star_morphism, which built pi on
+    the elements of m's domain trace."""
     tpos, pi = m.target.group.element_index, m.pi_indices
+    subgroup = [tpos(h) for h in m.domain_trace.elements]
     return {
-        "subgroup": sorted(pi),
+        "subgroup": sorted(subgroup),
         "gamma": sorted(tpos(g) for g in m.domain_omega),
-        "pi": sorted([h, v] for h, v in pi.items()),
-        "pi_injective": len(set(pi.values())) == len(pi),
+        "pi": sorted([h, v] for h, v in zip(subgroup, pi)),
+        "pi_injective": len(set(pi)) == len(pi),
     }
 
 
@@ -270,7 +272,7 @@ def cmd_star_homs(args: argparse.Namespace) -> int:
         lines = ["count: %d" % len(morphisms)]
         lines.extend(
             "H order %d, gamma size %d, pi injective: %s"
-            % (len(m.domain_group), len(m.domain_omega), "yes" if m.proj_is_injective() else "no")
+            % (len(m.domain_trace.elements), len(m.domain_omega), "yes" if m.proj_is_injective() else "no")
             for m in morphisms
         )
         text = "\n".join(lines) + "\n"

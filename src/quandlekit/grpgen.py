@@ -21,17 +21,21 @@ off, since point i of the conjugation quandle on omega is omega member i.
 The values as permutations are read-only views (SurjMorphism.mapping,
 StarMorphism.proj), derived on first read.  Permutations enter through
 make_surj_morphism and make_star_morphism, which refuse what the positions
-cannot hold, and the checks read them: each hands every value to
-extend_hom, which extends them to a homomorphism of the group when they
-extend at all, multiplying only by the members that earlier ones do not
-generate and comparing the values on the rest.  A star morphism keeps
-the projection its check extended, as element indices (pi_indices), for
-star-homs --json to read.  The subgroup a star morphism's gamma
-generates is closed from it on first use.  Star
-morphisms compose back to front: the new subset is the part of the outer
-morphism's subset that projects into the inner one's, and the new
-projection is the chain of the two on it; in sigma that is the same chain
-as for surjective morphisms.
+cannot hold, and the checks read them: each extends every value to a
+homomorphism of the group when they extend at all.  The extension is
+split in two, as extend_hom runs it: trace_closure closes the domain
+side once, multiplying only by the members that earlier ones do not
+generate and recording every step, and replay_closure runs those steps
+on the values alone, comparing the values on the rest.  The pair keeps
+the trace (GenPair.closure_trace): the source pair one per omega, the
+target pair one per sorted gamma.  A star morphism keeps the projection
+its check extended, as source element indices aligned with its trace
+(pi_indices), for star-homs to read; the trace also gives the order of
+the subgroup gamma generates, which domain_group closes on first use.
+Star morphisms compose back to front: the new subset is the part of the
+outer morphism's subset that projects into the inner one's, and the new
+projection is the chain of the two on it; in sigma that is the same
+chain as for surjective morphisms.
 
 Both enumerators are one search over sigma, _sigma_search.  A surjective
 morphism's values on omega are a homomorphism of conjugation quandles from
@@ -52,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .perm import (
     DEFAULT_CAP,
@@ -87,9 +91,12 @@ class GenPair:
     conjugated by one another; conj_stable records whether omega is closed
     under conjugation by the whole group; faithful records whether only the
     identity centralizes all of omega; omega_position maps each omega
-    member to its index.  All are computed on first use.  Whoever builds
-    the pair (inn, genpair_from_text, close_group) bounds its group by a
-    cap; a subgroup closed inside it takes no cap of its own.
+    member to its index.  All are computed on first use.  closure_trace
+    keeps the trace of each sequence of omega positions it is asked for,
+    so every check that extends from the same members shares one.
+    Whoever builds the pair (inn, genpair_from_text, close_group) bounds
+    its group by a cap; a subgroup closed inside it takes no cap of its
+    own.
     """
 
     group: PermGroup
@@ -121,6 +128,19 @@ class GenPair:
     @cached_property
     def omega_position(self) -> dict[Perm, int]:
         return {w: i for i, w in enumerate(self.omega)}
+
+    @cached_property
+    def _traces(self) -> dict[tuple[int, ...], ClosureTrace]:
+        return {}
+
+    def closure_trace(self, positions: tuple[int, ...]) -> ClosureTrace:
+        """trace_closure of the omega members at positions, in that order,
+        traced on the first request and kept on the pair."""
+        trace = self._traces.get(positions)
+        if trace is None:
+            omega = self.omega
+            trace = self._traces[positions] = trace_closure([omega[i] for i in positions], self.degree)
+        return trace
 
 
 def make_genpair(group: PermGroup, omega: Iterable[Perm]) -> GenPair:
@@ -233,7 +253,9 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     """Report of violated clauses; empty means the morphism is valid: there
     is a position for each source omega member, each names a target omega
     member, and those values extend to a homomorphism and cover the target
-    omega.  extend_hom is handed every value on omega.
+    omega.  Every value on omega is replayed (replay_closure) on the
+    source pair's trace of its omega in order, so the source group is
+    traced once per pair and each check composes only on the target side.
     """
     report: list[str] = []
     src, tgt = m.source, m.target
@@ -244,7 +266,8 @@ def check_surj_morphism(m: SurjMorphism) -> list[str]:
     if not all(0 <= a < len(lam) for a in m.images):
         report.append("omega containment: image of omega leaves the target omega")
         return report
-    if extend_hom([(w, lam[a]) for w, a in zip(src.omega, m.images)], src.degree, tgt.degree) is None:
+    trace = src.closure_trace(tuple(range(len(src.omega))))
+    if replay_closure(trace, [lam[a] for a in m.images], tgt.degree) is None:
         report.append("homomorphism: the values on omega do not extend to a homomorphism")
         return report
     if len(set(m.images)) != len(lam):
@@ -265,9 +288,11 @@ class StarMorphism(_PositionMorphism):
     permutations, domain_omega lists gamma in canonical order, and
     domain_group is the subgroup it generates, and pi_indices the
     projection on it as element indices; all four are derived on first
-    read.  domain_group lies inside the target group, so a closure bounded
-    by that group's order never raises.  make_star_morphism builds one
-    from the projection's values.
+    read.  domain_trace numbers that subgroup without closing it: the
+    target pair keeps one trace per sorted gamma, shared by every morphism
+    with that gamma.  domain_group lies inside the target group, so a
+    closure bounded by that group's order never raises.
+    make_star_morphism builds one from the projection's values.
     """
 
     @cached_property
@@ -284,34 +309,40 @@ class StarMorphism(_PositionMorphism):
     def domain_group(self) -> PermGroup:
         return close_group(self.domain_omega, cap=len(self.target.group))
 
+    @property
+    def domain_trace(self) -> ClosureTrace:
+        """The target pair's closure trace of sigma's positions in sorted
+        order: its elements are the subgroup gamma generates."""
+        return self.target.closure_trace(tuple(sorted(self.images)))
+
     @cached_property
-    def pi_indices(self) -> dict[int, int] | None:
-        """The projection on the whole subgroup gamma generates, as element
-        indices (PermGroup.element_index): target group index -> source
-        group index; None when its values extend to no homomorphism.
-        extend_hom is handed every entry of sigma, so a repeated position,
-        which the projection would send to two values, extends to nothing.
-        Defined once every position names a target omega member and sigma
-        is no longer than the source omega: check_star_morphism tests both
-        before it reads this, and star-homs --json reads the map the check
-        built.  Indices, not permutations, are kept, so a morphism holds
-        two integers per subgroup element once checked.
+    def pi_indices(self) -> tuple[int, ...] | None:
+        """The projection on the whole subgroup gamma generates, as source
+        group indices (PermGroup.element_index) aligned with
+        domain_trace.elements; None when its values extend to no
+        homomorphism.  Each entry of sigma is replayed (replay_closure) on
+        domain_trace, with its source omega member as the value, so a
+        repeated position, which the projection would send to two values,
+        extends to nothing.  Defined once every position names a target
+        omega member and sigma is no longer than the source omega:
+        check_star_morphism tests both before it reads this, and star-homs
+        --json reads the map the check built.  Indices, not permutations,
+        are kept, so a morphism holds one integer per subgroup element once
+        checked.
         """
-        lam = self.target.omega
-        hom = extend_hom(
-            [(lam[a], w) for w, a in zip(self.source.omega, self.images)],
-            self.target.degree,
-            self.source.degree,
-        )
-        if hom is None:
+        images, omega = self.images, self.source.omega
+        order = sorted(range(len(images)), key=images.__getitem__)
+        values = replay_closure(self.domain_trace, [omega[i] for i in order], self.source.degree)
+        if values is None:
             return None
-        tpos, spos = self.target.group.element_index, self.source.group.element_index
-        return {tpos(h): spos(v) for h, v in hom.items()}
+        spos = self.source.group.element_index
+        return tuple([spos(v) for v in values])
 
     def proj_is_injective(self) -> bool:
         """For a valid morphism: proj maps onto the group the source omega
-        generates, so it is injective exactly when the orders agree."""
-        return len(self.domain_group) == len(self.source.group)
+        generates, so it is injective exactly when the orders agree.  No
+        group is closed."""
+        return len(self.domain_trace.elements) == len(self.source.group)
 
 
 def make_star_morphism(
@@ -360,8 +391,9 @@ def check_star_morphism(m: StarMorphism) -> list[str]:
     entries of the target's conj_table, at most 2 * |generators| * |gamma|
     of them, gives its stability (under the subgroup gamma generates,
     which is stability under generators of gamma).  Whether the values
-    extend is read from StarMorphism.pi_indices, which hands extend_hom
-    every entry of sigma, so a repeated position extends to nothing; the
+    extend is read from StarMorphism.pi_indices, which replays every entry
+    of sigma on the target pair's trace of gamma, so a repeated position
+    extends to nothing and the target group is traced once per gamma; the
     map it builds stays on the morphism for star-homs --json.
     """
     report: list[str] = []
@@ -407,54 +439,95 @@ def is_star_isomorphism(m: StarMorphism) -> bool:
     return len(m.images) == len(m.target.omega) and len(m.source.group) == len(m.target.group)
 
 
+class ClosureTrace(NamedTuple):
+    """The closure of a sequence of generators, as trace_closure runs it.
+
+    elements lists the group in the order it is reached, the identity
+    first.  steps lists, in loop order, one (x, j, y) per product
+    elements[x] * generators[j] (x >= 0) and one (-1, j, y) per generator
+    j the closure already held, y being the index of the element reached;
+    y is a new element exactly when it equals the number reached before.
+    """
+
+    elements: tuple[Perm, ...]
+    steps: tuple[tuple[int, int, int], ...]
+
+
+def trace_closure(generators: Iterable[Perm], degree: int) -> ClosureTrace:
+    """The group the generators generate, closed one generator at a time,
+    with every step recorded for replay_closure.
+
+    A generator the closure already holds is recorded and not multiplied.
+    Any other becomes a letter: it multiplies, on the right, the elements
+    found so far, and each element found after it is multiplied by every
+    letter, so every product (element, letter) is formed once.  The set
+    then holds the identity and is closed under right multiplication by
+    each letter, so it is the group.  The loop is perm.close_group's,
+    which records nothing: a trace holds |group| * letters steps, worth
+    keeping only for a group whose generators get many sets of values.
+    """
+    e = identity(degree)
+    index = {e: 0}
+    found = [e]
+    letters: list[tuple[Perm, int]] = []
+    steps: list[tuple[int, int, int]] = []
+    for j, g in enumerate(generators):
+        y = index.get(g)
+        if y is not None:
+            steps.append((-1, j, y))
+            continue
+        letters.append((g, j))
+        start = len(found)
+        for x, cur in enumerate(found):  # found grows while it is read
+            for h, l in letters if x >= start else ((g, j),):
+                nxt = compose(cur, h)
+                y = index.get(nxt)
+                if y is None:
+                    y = index[nxt] = len(found)
+                    found.append(nxt)
+                steps.append((x, l, y))
+    return ClosureTrace(tuple(found), tuple(steps))
+
+
+def replay_closure(trace: ClosureTrace, values: list[Perm], image_degree: int) -> list[Perm] | None:
+    """The values at trace.elements of the homomorphism that sends
+    generator j of the trace to values[j]; None when there is none.
+
+    Each step is replayed on the values alone: a product's value is the
+    value of its element times its letter's value, a new element takes
+    it, and any other element, or a generator the closure already held,
+    is compared with the value it has.  So every product is checked once
+    and every other generator's value compared once: any clash between
+    two derivations of one element surfaces.  Without a clash the map
+    sends e to e and each x g to f(x) f(g) for every letter g, and every
+    element is a positive word in the letters, so it is a homomorphism;
+    every generator lies in the group its earlier letters generate, so it
+    is the one asked for.  A homomorphism sending each generator to its
+    value derives every value the same way, so a clash means there is
+    none.  Nothing on the domain side is composed or hashed.
+    """
+    images = [identity(image_degree)]
+    for x, j, y in trace.steps:
+        fy = values[j] if x < 0 else compose(images[x], values[j])
+        if y == len(images):
+            images.append(fy)
+        elif images[y] != fy:
+            return None
+    return images
+
+
 def extend_hom(
     pairs: Iterable[tuple[Perm, Perm]], domain_degree: int, image_degree: int
 ) -> dict[Perm, Perm] | None:
     """The homomorphism of the group the first entries generate that sends
     each to its second entry, as a dict over that group; None when there is
-    none.
-
-    It closes one pair at a time, as perm.close_group does.  A pair whose
-    element the closure already holds is compared with the map built so
-    far and is not multiplied.  Any other pair becomes a letter: it
-    multiplies, on the right, the elements found so far, and each element
-    found after it is multiplied by every letter.  So every product
-    (element, letter) is checked once, and every other pair's value is
-    compared once: any clash between two derivations of one element
-    surfaces.  Without a clash the map sends e to e and each x g to
-    f(x) f(g) for every letter g, and every element is a positive word in
-    the letters, so it is a homomorphism; every pair's element lies in the
-    group its earlier letters generate, so it is the one asked for.  A
-    homomorphism sending each first entry to its second derives every value
-    the same way, so a clash means there is none.
-
-    The loop is not close_group's: that one carries no images and inlines
-    its product, so one loop for both would branch on its caller.
+    none: trace_closure of the first entries, then replay_closure of the
+    second.  The checks keep the trace on the pair and replay it alone.
     """
-    e = identity(domain_degree)
-    hom = {e: identity(image_degree)}
-    found = [e]
-    letters: list[tuple[Perm, Perm]] = []
-    for g, u in pairs:
-        cur = hom.get(g)
-        if cur is not None:
-            if cur != u:
-                return None
-            continue
-        letters.append((g, u))
-        start = len(found)
-        for i, x in enumerate(found):  # found grows while it is read
-            fx = hom[x]
-            for h, v in letters if i >= start else ((g, u),):
-                y = compose(x, h)
-                fy = compose(fx, v)
-                cur = hom.get(y)
-                if cur is None:
-                    hom[y] = fy
-                    found.append(y)
-                elif cur != fy:
-                    return None
-    return hom
+    pairs = list(pairs)
+    trace = trace_closure([g for g, _ in pairs], domain_degree)
+    images = replay_closure(trace, [u for _, u in pairs], image_degree)
+    return None if images is None else dict(zip(trace.elements, images))
 
 
 def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm]]:
@@ -515,6 +588,29 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
     may repeat k - m values to cover m target members from k, a star sigma
     none.
 
+    Which instances sigma(x |> y) = sigma(x) |> sigma(y) are checked
+    depends on one flag: whether the source table has no -1 entry (the
+    closed flag of perm.generator_blocks on the source omega).  Without it
+    every ordered pair of assigned points is checked.  With it, the point
+    q is paired with every assigned point and each point derived after it
+    only with the members of Q, both ways.  Lemma: write phi for the
+    values as group elements and C(x) for "phi(x y x^-1) = phi(x) phi(y)
+    phi(x)^-1 for every y".  Since s_x permutes the closed omega, s_x^-1 is
+    a power s_x^(n-1) with s_x^n the identity; iterating C(x) n times
+    shows phi(x)^n commutes with every phi(y), so C(x) gives the same
+    equation for x^-1.  Then for z = x |> w, with C(x), C(w) and
+    phi(z) = phi(x) |> phi(w), z y z^-1 = x (w (x^-1 y x) w^-1) x^-1
+    gives C(z).  Every derived point is x |> w for assigned x, w, one of
+    them in Q, and its value is that instance.  At a leaf every instance
+    with a member of Q is checked, so C holds on Q, and by induction along
+    the order points were assigned, on every point: the leaf preserves
+    |> everywhere, as it must to pass the unrestricted checks.  The points
+    reached are the same too: the subquandle Q generates is the orbit of
+    Q under the group the s_q generate (s_(x |> y) = s_x s_y s_x^-1), and
+    in a finite group that is reached by applying s_q alone.  So Q, which
+    reads only the set reached, and the leaf set do not change; a branch
+    the fewer checks keep alive longer has no leaf below it.
+
     A complete sigma is kept exactly when the flavor's own check,
     check_surj_morphism or check_star_morphism, accepts it, so every
     morphism returned has passed that check once.  The check extends from
@@ -534,8 +630,9 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
     k, m = len(omega), len(lam)
     if k > m if injective else k < m:
         return []
-    table, target_table = src.conj_table.rows, tgt.conj_table
-    if injective and any(-1 in row for row in table):
+    table, target_table = src.conj_table, tgt.conj_table
+    closed = generator_blocks(table, range(k))[1]
+    if injective and not closed:
         return []
     word = "star" if injective else "surjective"
     flavor = StarMorphism if injective else SurjMorphism
@@ -544,12 +641,15 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
     order = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
     sigma, preimage = [-1] * k, [-1] * m
     assigned: list[int] = []
+    branched: list[int] = []  # Q so far, in the order it was branched on
     found: list[_PositionMorphism] = []
     tried, slack = 0, 0 if injective else k - m
 
     def assign(q: int, a: int) -> bool:
-        # sigma(q) = a, then each ordered pair of assigned points is checked
-        # once, when the later of the two is reached; x |> x = x needs none.
+        # sigma(q) = a, then q is paired with every assigned point and each
+        # point derived after it with every member of Q (every assigned
+        # point if the table is not closed), both ways, when the later of
+        # the two is reached; x |> x = x needs none.
         # preimage[c] is the first point sent to c; later ones spend slack
         nonlocal slack
         sigma[q] = a
@@ -559,11 +659,12 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
             slack -= 1
         assigned.append(q)
         i = len(assigned) - 1
+        partners = assigned[:i]
         while i < len(assigned):
             x = assigned[i]
-            for y in assigned[:i]:
+            for y in partners:
                 for u, v in ((x, y), (y, x)):
-                    z = table[u][v]
+                    z = table[u, v]
                     if z < 0:
                         continue
                     c = target_table[sigma[u], sigma[v]]
@@ -579,6 +680,7 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
                     elif c < 0 or sigma[z] != c:
                         return False
             i += 1
+            partners = branched if closed else assigned[:i]
         return True
 
     def search(depth: int) -> None:
@@ -591,6 +693,7 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
         depth += 1
         require_recursion_depth(depth, "%s morphism search over %d generators" % (word, depth))
         q = next(x for x in order if sigma[x] == -1)
+        branched.append(q)
         oq = src_order[q]
         mark, spare = len(assigned), slack
         for a in range(m):
@@ -612,6 +715,7 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
                 sigma[x] = -1
             del assigned[mark:]
             slack = spare
+        branched.pop()
 
     search(0)
     rank = (lambda s: (sorted(s), sorted(range(k), key=s.__getitem__))) if injective else tuple

@@ -276,21 +276,22 @@ def test_star_homs_json_matches_golden_digest(key, tmp_path, capsys):
 
 
 def test_star_homs_json_lists_the_projection_its_check_extended(monkeypatch, tmp_path, capsys):
-    # the check at each leaf of the search extends the projection, and
-    # --json lists that map: extend_hom runs once per check, none after,
-    # whichever module it is called from
+    # the check at each leaf of the search extends the projection by
+    # replaying its values on the domain's closure trace, and --json lists
+    # that map: replay_closure runs once per check, none after, whichever
+    # module it is called from
     paths = write_quandles_and_pairs(["r3", "r9"], tmp_path)
     capsys.readouterr()
-    checks, extensions = [], []
-    check, extend = grpgen.check_star_morphism, grpgen.extend_hom
+    checks, replays = [], []
+    check, replay = grpgen.check_star_morphism, grpgen.replay_closure
     monkeypatch.setattr(grpgen, "check_star_morphism", lambda m: checks.append(m) or check(m))
     for module in (grpgen, cli):
         monkeypatch.setattr(
-            module, "extend_hom", lambda *a: extensions.append(a) or extend(*a), raising=False
+            module, "replay_closure", lambda *a: replays.append(a) or replay(*a), raising=False
         )
     rc, out = run(capsys, "star-homs", *paths, "--json")
     assert rc == 0 and json.loads(out)["count"] == 18
-    assert len(extensions) == len(checks) >= 18
+    assert len(replays) == len(checks) >= 18
 
 
 def test_cap_bounds_every_group_the_cli_lists(tmp_path, capsys):

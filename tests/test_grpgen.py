@@ -360,6 +360,50 @@ def test_checks_multiply_only_by_the_members_that_generate(monkeypatch):
         assert len(calls) <= 960
 
 
+def test_checks_on_a_traced_pair_compose_only_on_the_image_side(monkeypatch):
+    # the first check leaves the closure trace on the source pair
+    # (surjective) or the target pair (star, per sorted gamma), so a check
+    # of a fresh morphism replays it: one composition per product of the
+    # 120 elements by the 4 letters, none on the domain side
+    s5 = symmetric_group(5)
+    p = inn(conjugation_quandle(s5, s5.sorted_elements()))
+    calls = counted_compositions(monkeypatch)
+    for check, ident in ((check_surj_morphism, identity_surj), (check_star_morphism, identity_star)):
+        assert check(ident(p)) == []
+        calls.clear()
+        assert check(ident(p)) == []
+        assert 0 < len(calls) <= 480
+
+
+@pytest.mark.parametrize(
+    "enumerate_morphisms, tried",
+    [(enumerate_surj_morphisms, 801), (enumerate_star_morphisms, 760)],
+    ids=["surjective", "star"],
+)
+def test_pairing_derived_points_with_q_keeps_the_assignments_tried(monkeypatch, enumerate_morphisms, tried):
+    # inn(conj:s4) has a closed table, so a derived point is paired only
+    # with Q; the points each branch reaches, hence Q and every branch, are
+    # those of pairing every two points: the search tries as many
+    # assignments as it did then, no more, and finds the same 24 morphisms
+    s4 = symmetric_group(4)
+    p = inn(conjugation_quandle(s4, s4.sorted_elements()))
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", tried)
+    assert len(enumerate_morphisms(p, p)) == 24
+    monkeypatch.setattr(grpgen, "SUBSET_CAP", tried - 1)
+    with pytest.raises(CapExceeded, match="subset_cap=%d" % (tried - 1)):
+        enumerate_morphisms(p, p)
+
+
+def test_surj_search_reads_only_part_of_the_source_table():
+    # whether the source table is closed is read from a generating set's
+    # blocks, and the search pairs derived points only with Q, so a search
+    # that finds nothing reads fewer than all k * k source entries
+    s4 = symmetric_group(4)
+    src = inn(conjugation_quandle(s4, s4.sorted_elements()))
+    assert enumerate_surj_morphisms(src, inn(dihedral(3))) == []
+    assert len(src.conj_table) < len(src.omega) ** 2
+
+
 def test_surj_enumeration_matches_the_ordered_brute_force():
     # the order prune cuts only branches extend_hom would reject, so the
     # list and its order are those of filtering every map in lexicographic
