@@ -9,6 +9,11 @@ Subcommands:
 * star-homs  enumerate backwards-partial morphisms between two pair files
 * verify     machine-check the category equivalences on a corpus
 
+Output goes to stdout, or to the file --out names, as it is made: a
+--json payload equals json.dumps(payload, indent=2) plus a newline and is
+written one item of its list at a time (one hom, star morphism or report),
+and a text listing one line at a time.
+
 Exit codes: 0 success, 1 a requested check failed, 2 bad input.
 """
 
@@ -18,6 +23,8 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
@@ -28,7 +35,7 @@ from .grpgen import (
     genpair_to_text,
     make_genpair,
 )
-from .homs import MODE_WORDS, enumerate_homs, homs_to_dict
+from .homs import MODE_WORDS, enumerate_homs
 from .perm import (
     DEFAULT_CAP,
     CapExceeded,
@@ -54,16 +61,9 @@ from .quandle import (
 from .functors import verify_equivalence
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json_text(obj: object, indent: str = "") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for a tree of dicts with
-    string keys, lists, tuples and scalars.
+def _render(obj: object, indent: str) -> str:
+    """json.dumps(obj, indent=2) at the given indent, byte for byte, for a
+    tree of dicts with string keys, lists, tuples and scalars.
 
     With indent set the stdlib leaves its C encoder for the pure-Python
     one, which writes every int of a large payload as its own chunk; here
@@ -77,7 +77,7 @@ def _json_text(obj: object, indent: str = "") -> str:
         if not obj:
             return "{}"
         inner = indent + "  "
-        body = (",\n" + inner).join([quote(k) + ": " + _json_text(v, inner) for k, v in obj.items()])
+        body = (",\n" + inner).join([quote(k) + ": " + _render(v, inner) for k, v in obj.items()])
         return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -86,9 +86,64 @@ def _json_text(obj: object, indent: str = "") -> str:
         if all(type(v) is int for v in obj):
             body = (",\n" + inner).join(map(str, obj))
         else:
-            body = (",\n" + inner).join([_json_text(v, inner) for v in obj])
+            body = (",\n" + inner).join([_render(v, inner) for v in obj])
         return "[\n" + inner + body + "\n" + indent + "]"
     return json.dumps(obj)
+
+
+def _json_chunks(obj: object, indent: str = "") -> Iterator[str]:
+    """The text of _render(obj, indent) in chunks, one per item.
+
+    A dict is written key by key, and a list, a tuple or an iterator (a
+    generator, say) item by item: each item is rendered whole by _render,
+    and only once the chunk before it has been taken.  An empty iterator
+    is written "[]".  So a payload's long list is never held as text, nor
+    as a list when the caller hands a generator.
+    """
+    if isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{\n"
+        for k, v in obj.items():
+            yield sep + inner + quote(k) + ": "
+            yield from _json_chunks(v, inner)
+            sep = ",\n"
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        inner = indent + "  "
+        sep = "[\n"
+        for v in obj:
+            yield sep + inner + _render(v, inner)
+            sep = ",\n"
+        yield "[]" if sep == "[\n" else "\n" + indent + "]"
+    else:
+        yield _render(obj, indent)
+
+
+def _json_text(obj: object) -> str:
+    """json.dumps(obj, indent=2), byte for byte: the join of _json_chunks."""
+    return "".join(_json_chunks(obj))
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks in order, each as soon as it is made, to the file
+    out, or to stdout when out is empty."""
+    if out:
+        with open(out, "w") as f:
+            f.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    """The payload as json.dumps(payload, indent=2) plus a newline,
+    written by _emit item by item."""
+    _emit(chain(_json_chunks(payload), ["\n"]), out)
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """Text-mode output for _emit: each line with its newline."""
+    for line in lines:
+        yield line + "\n"
 
 
 def _load_quandle(path: str) -> Quandle:
@@ -193,7 +248,7 @@ def cmd_make(args: argparse.Namespace) -> int:
     if made is not None:
         text = quandle_to_text(made)
         summary = _quandle_summary(made)
-    _emit(text, args.out)
+    _emit([text], args.out)
     # keep the table stream clean: the summary goes to stderr when the
     # table itself goes to stdout
     print("\n".join(summary), file=sys.stdout if args.out else sys.stderr)
@@ -203,7 +258,7 @@ def cmd_make(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     q = quandle_from_text(Path(args.path).read_text())
     lines = _quandle_summary(q)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_lines(lines), args.out)
     return 1 if q.violations else 0
 
 
@@ -231,26 +286,32 @@ def cmd_homs(args: argparse.Namespace) -> int:
     q2 = _load_quandle(args.target)
     homs = enumerate_homs(q1, q2, mode)
     if args.json:
-        payload = {"schema": 1}
-        payload.update(homs_to_dict(q1, q2, mode, homs))
-        text = _json_text(payload) + "\n"
+        # homs_to_dict's payload, with each mapping tuple in place of its list copy
+        payload = {
+            "schema": 1,
+            "source_n": q1.n,
+            "target_n": q2.n,
+            "mode": mode,
+            "homs": (f.mapping for f in homs),
+            "count": len(homs),
+        }
+        _emit_json(payload, args.out)
     else:
-        lines = ["count: %d" % len(homs)]
-        lines.extend(" ".join(str(v) for v in f.mapping) for f in homs)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        rows = (" ".join(map(str, f.mapping)) for f in homs)
+        _emit(_lines(chain(["count: %d" % len(homs)], rows)), args.out)
     return 0
 
 
 def _star_to_dict(m: StarMorphism) -> dict:
-    """m's --json entry; m passed check_star_morphism, which built pi on
-    the elements of m's domain trace."""
+    """m's --json entry, built when the writer reaches it; m passed
+    check_star_morphism, which built pi on the elements of m's domain
+    trace."""
     tpos, pi = m.target.group.element_index, m.pi_indices
     subgroup = [tpos(h) for h in m.domain_trace.elements]
     return {
         "subgroup": sorted(subgroup),
         "gamma": sorted(tpos(g) for g in m.domain_omega),
-        "pi": sorted([h, v] for h, v in zip(subgroup, pi)),
+        "pi": sorted(zip(subgroup, pi)),
         "pi_injective": len(set(pi)) == len(pi),
     }
 
@@ -265,18 +326,16 @@ def cmd_star_homs(args: argparse.Namespace) -> int:
             "source_order": len(src.group),
             "target_order": len(tgt.group),
             "count": len(morphisms),
-            "morphisms": [_star_to_dict(m) for m in morphisms],
+            "morphisms": (_star_to_dict(m) for m in morphisms),
         }
-        text = _json_text(payload) + "\n"
+        _emit_json(payload, args.out)
     else:
-        lines = ["count: %d" % len(morphisms)]
-        lines.extend(
+        rows = (
             "H order %d, gamma size %d, pi injective: %s"
             % (len(m.domain_trace.elements), len(m.domain_omega), "yes" if m.proj_is_injective() else "no")
             for m in morphisms
         )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        _emit(_lines(chain(["count: %d" % len(morphisms)], rows)), args.out)
     return 0
 
 
@@ -336,13 +395,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     failures = sum(len(r.failures) for r in reports)
     if args.json:
-        payload = {"schema": 1, "reports": [r.to_dict() for r in reports]}
-        text = _json_text(payload) + "\n"
+        _emit_json({"schema": 1, "reports": (r.to_dict() for r in reports)}, args.out)
     else:
         lines = [r.summary() for r in reports]
         lines.append("all checks passed" if failures == 0 else "%d failing checks" % failures)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        _emit(_lines(lines), args.out)
     return 1 if failures else 0
 
 

@@ -537,34 +537,40 @@ def enumerate_group_homs(src: PermGroup, tgt: PermGroup) -> list[dict[Perm, Perm
     A generator already forced by earlier assignments (it lies in the
     subgroup they generate) is not branched over.  An image u is tried for
     a generator g only when the order of u divides that of g: a
-    homomorphism sends g^ord(g) = e to u^ord(g) = e, so extend_hom would
-    reject every other u.  The search recurses once per generator; too many
-    generators for the interpreter's stack raise CapExceeded.
+    homomorphism sends g^ord(g) = e to u^ord(g) = e, so the extension
+    would reject every other u.  Each candidate is extended as extend_hom
+    does, but the trace depends only on the generators branched over so
+    far, which the domain alone decides, so each level is traced once and
+    replayed per candidate.  The search recurses once per generator; too
+    many generators for the interpreter's stack raise CapExceeded.
     """
     gens = list(dict.fromkeys(src.generators))
     require_recursion_depth(len(gens), "extension search over %d generators" % len(gens))
     candidates = tgt.sorted_elements()
     order = {p: perm_order(p) for p in (*gens, *candidates)}
+    traces: dict[int, ClosureTrace] = {}
     out: list[dict[Perm, Perm]] = []
 
-    def rec(i: int, pairs: list[tuple[Perm, Perm]], hom: dict[Perm, Perm]) -> None:
+    def rec(i: int, branched: list[Perm], values: list[Perm], hom: dict[Perm, Perm]) -> None:
         if i == len(gens):
             assert set(hom) == src.elements
             out.append(hom)
             return
         g = gens[i]
         if g in hom:
-            rec(i + 1, pairs, hom)
+            rec(i + 1, branched, values, hom)
             return
+        if i not in traces:
+            traces[i] = trace_closure(branched + [g], src.degree)
+        trace = traces[i]
         for u in candidates:
             if order[g] % order[u]:
                 continue
-            pairs2 = pairs + [(g, u)]
-            hom2 = extend_hom(pairs2, src.degree, tgt.degree)
-            if hom2 is not None:
-                rec(i + 1, pairs2, hom2)
+            images = replay_closure(trace, values + [u], tgt.degree)
+            if images is not None:
+                rec(i + 1, branched + [g], values + [u], dict(zip(trace.elements, images)))
 
-    rec(0, [], {identity(src.degree): identity(tgt.degree)})
+    rec(0, [], [], {identity(src.degree): identity(tgt.degree)})
     return out
 
 

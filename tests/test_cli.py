@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import shlex
 import sys
@@ -294,6 +295,45 @@ def test_star_homs_json_lists_the_projection_its_check_extended(monkeypatch, tmp
     assert len(replays) == len(checks) >= 18
 
 
+def test_star_homs_json_writes_each_morphism_before_building_the_next(monkeypatch, tmp_path):
+    # every morphism before the last is on stdout by the time the last
+    # one's entry is built: the payload is written item by item
+    paths = write_quandles_and_pairs(["r3", "r9"], tmp_path)
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    written = []
+    real = cli._star_to_dict
+    monkeypatch.setattr(cli, "_star_to_dict", lambda m: written.append(stdout.getvalue()) or real(m))
+    assert main(["star-homs", *paths, "--json"]) == 0
+    out = stdout.getvalue()
+    assert json.loads(out)["count"] == len(written) == 18
+    assert out.startswith(written[-1])
+    assert written[-1].count('"pi_injective"') == 17
+
+
+def test_out_file_holds_the_bytes_stdout_gets(tmp_path, capsys):
+    # homs, star-homs and verify, in text mode and with --json: the file
+    # --out names holds what stdout gets without it
+    r3, r9 = tmp_path / "r3.q", tmp_path / "r9.q"
+    main(["make", "dihedral", "3", "--out", str(r3)])
+    main(["make", "dihedral", "9", "--out", str(r9)])
+    pairs = write_quandles_and_pairs(["r3", "r9"], tmp_path)
+    calls = [
+        ["homs", str(r3), str(r9), "--mode", "inj"],
+        ["star-homs", *pairs],
+        ["verify", "--corpus", "r3,r5", "--mode", "all"],
+    ]
+    capsys.readouterr()
+    out_file = tmp_path / "out.txt"
+    for argv in calls:
+        for extra in ([], ["--json"]):
+            rc, out = run(capsys, *argv, *extra)
+            assert rc == 0 and out.count("\n") > 2
+            assert main([*argv, *extra, "--out", str(out_file)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out_file.read_bytes() == out.encode(), (argv, extra)
+
+
 def test_cap_bounds_every_group_the_cli_lists(tmp_path, capsys):
     # inn(R9) has order 18: a cap of 17 refuses it wherever it is listed,
     # and 18 admits it along with every subgroup the star search closes
@@ -463,6 +503,27 @@ JSON_TREES = st.recursive(
 @settings(max_examples=150, deadline=None)
 def test_json_writer_matches_the_stdlib_indent_encoder(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+def lazy(tree):
+    """tree with each list the writer streams, at the top or as the value
+    of a dict on a path of dicts from the top, handed over as a generator."""
+    if isinstance(tree, dict):
+        return {k: lazy(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return (v for v in tree)
+    return tree
+
+
+@given(JSON_TREES | st.lists(JSON_TREES, max_size=4) | st.dictionaries(JSON_TEXT, st.lists(JSON_TREES, max_size=4), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_json_writer_writes_generators_as_the_stdlib_writes_lists(tree):
+    assert _json_text(lazy(tree)) == json.dumps(tree, indent=2)
+
+
+def test_json_writer_writes_an_empty_generator_as_an_empty_list():
+    assert _json_text(v for v in []) == "[]"
+    assert _json_text({"morphisms": (v for v in [])}) == '{\n  "morphisms": []\n}'
 
 
 def test_json_writer_matches_the_stdlib_on_golden_reports():

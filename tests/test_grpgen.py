@@ -796,6 +796,29 @@ def test_enumerate_group_homs_counts():
     assert len(enumerate_group_homs(s3, s3)) == 10
 
 
+@pytest.mark.parametrize("src, tgt, count", [
+    (symmetric_group(4), symmetric_group(4), 58),
+    (dihedral_group(9), dihedral_group(27), 244),
+])
+def test_enumerate_group_homs_traces_each_level_once(monkeypatch, src, tgt, count):
+    # neither generator lies in the group the other generates, so the search
+    # branches on both, in the target's sorted order: its homs are
+    # extend_hom's on each pair of images that extends, in product order;
+    # each level's trace depends on the domain only and is made once
+    gens = list(src.generators)
+    expected = [
+        h for images in itertools.product(tgt.sorted_elements(), repeat=len(gens))
+        if (h := extend_hom(zip(gens, images), src.degree, tgt.degree)) is not None
+    ]
+    traces = []
+    real = grpgen.trace_closure
+    monkeypatch.setattr(grpgen, "trace_closure", lambda *a: traces.append(a) or real(*a))
+    homs = enumerate_group_homs(src, tgt)
+    assert len(traces) == len(gens) == 2
+    assert len(homs) == count
+    assert [list(h.items()) for h in homs] == [list(h.items()) for h in expected]
+
+
 def test_genpair_text_round_trip():
     p = refl_pair(9)
     text = genpair_to_text(p)
