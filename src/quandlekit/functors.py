@@ -31,7 +31,6 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .grpgen import (
-    CapExceeded,
     GenPair,
     StarMorphism,
     SurjMorphism,
@@ -56,7 +55,7 @@ from .homs import (
     induced_injective,
     induced_surjective,
 )
-from .perm import DEFAULT_CAP
+from .perm import DEFAULT_CAP, CapExceeded
 from .quandle import Quandle, inn, is_faithful, quandle_of_conjugation_table
 
 
@@ -370,7 +369,9 @@ def verify_equivalence(
     k = len(corpus)
     pairs = [to_pair(q, cap) for q in corpus]
     conjs = [to_quandle(p) for p in pairs]
-    round_trips = [to_pair(qc, cap) for qc in conjs]
+    # to_quandle took only faithful pairs, and the conjugation quandle of a faithful
+    # pair is faithful (w, w' acting alike on omega makes w^-1 w' central): no test
+    round_trips = [inn(qc, cap) for qc in conjs]
 
     thetas: list[QuandleHom | None] = [None] * k
     etas: list = [None] * k

@@ -41,10 +41,11 @@ Both enumerators are one search over sigma, _sigma_search.  A surjective
 morphism's values on omega are a homomorphism of conjugation quandles from
 the source omega onto the target omega, and a star morphism's sigma is an
 isomorphism of conjugation quandles from the source omega onto gamma.
-Either is fixed by its values on a quandle generating set of the source
-omega, so the search branches on those and propagates the rest; the two
-flavors differ only in whether values may repeat and which way element
-orders divide.  Each complete sigma is kept when the flavor's own check,
+So the search is the quandle hom search, perm.table_homs as
+homs.enumerate_homs runs it, on the pairs' conjugation tables: it
+branches on a quandle generating set of the source omega and propagates
+the rest; the two flavors differ only in whether values may repeat and
+which way element orders divide.  Each complete sigma is kept when the flavor's own check,
 check_surj_morphism or check_star_morphism, accepts it, so that check is
 the one place a group-side morphism is validated.  No subset of the
 target omega is searched.  The search and the checks read
@@ -60,7 +61,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .perm import (
     DEFAULT_CAP,
-    CapExceeded,
     Perm,
     PermGroup,
     close_group,
@@ -75,6 +75,7 @@ from .perm import (
     integers,
     perm_order,
     require_recursion_depth,
+    table_homs,
 )
 
 # Assignments one _sigma_search may try before it gives up.
@@ -581,41 +582,17 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
 
     sigma is a homomorphism of conjugation quandles from the source omega
     onto the target omega (surjective), or an isomorphism onto its image
-    gamma (star), so its values on a quandle generating set Q fix it.  Q
-    grows with the search: its next member q is the first point sigma does
-    not reach yet, most moved points first, since those pin the most.  Each
-    branch sends q to a target omega member a whose order ord(a) divides
-    ord(q) (surjective: g^n = e carries to sigma(g)^n = e) or is divided by
-    it (star: the projection sends a to q), and extends sigma by
-    sigma(x |> y) = sigma(x) |> sigma(y), read from the pairs' conj_tables.
-    A source entry outside the source omega constrains nothing.  A branch
-    dies when such a conjugate leaves the target omega or clashes with
-    sigma, or when a value repeats with no slack left: a surjective sigma
-    may repeat k - m values to cover m target members from k, a star sigma
-    none.
-
-    Which instances sigma(x |> y) = sigma(x) |> sigma(y) are checked
-    depends on one flag: whether the source table has no -1 entry (the
-    closed flag of perm.generator_blocks on the source omega).  Without it
-    every ordered pair of assigned points is checked.  With it, the point
-    q is paired with every assigned point and each point derived after it
-    only with the members of Q, both ways.  Lemma: write phi for the
-    values as group elements and C(x) for "phi(x y x^-1) = phi(x) phi(y)
-    phi(x)^-1 for every y".  Since s_x permutes the closed omega, s_x^-1 is
-    a power s_x^(n-1) with s_x^n the identity; iterating C(x) n times
-    shows phi(x)^n commutes with every phi(y), so C(x) gives the same
-    equation for x^-1.  Then for z = x |> w, with C(x), C(w) and
-    phi(z) = phi(x) |> phi(w), z y z^-1 = x (w (x^-1 y x) w^-1) x^-1
-    gives C(z).  Every derived point is x |> w for assigned x, w, one of
-    them in Q, and its value is that instance.  At a leaf every instance
-    with a member of Q is checked, so C holds on Q, and by induction along
-    the order points were assigned, on every point: the leaf preserves
-    |> everywhere, as it must to pass the unrestricted checks.  The points
-    reached are the same too: the subquandle Q generates is the orbit of
-    Q under the group the s_q generate (s_(x |> y) = s_x s_y s_x^-1), and
-    in a finite group that is reached by applying s_q alone.  So Q, which
-    reads only the set reached, and the leaf set do not change; a branch
-    the fewer checks keep alive longer has no leaf below it.
+    gamma (star), so perm.table_homs finds it on the pairs' conj_tables,
+    branching on perm.generator_blocks of the source omega taken most
+    moved points first, since those pin the most.  A generator q is sent
+    only to a target omega member a whose order ord(a) divides ord(q)
+    (surjective: g^n = e carries to sigma(g)^n = e) or is divided by it
+    (star: the projection sends a to q).  A source conjugate outside the
+    source omega constrains nothing, and a branch dies where the
+    conjugate of its values leaves the target omega.  Only the instances
+    in a generator's row or column are checked when the source table has
+    no -1 entry (the stable flag of generator_blocks), which table_homs'
+    lemma shows is enough; otherwise every instance is.
 
     A complete sigma is kept exactly when the flavor's own check,
     check_surj_morphism or check_star_morphism, accepts it, so every
@@ -623,107 +600,47 @@ def _sigma_search(src: GenPair, tgt: GenPair, injective: bool) -> list[_Position
     all of sigma's values (star: its inverse's), which is the definition of
     a valid morphism.  Every valid morphism's sigma reaches a leaf: it
     preserves |>, divides orders as above and repeats no more values than
-    the flavor allows, so no branch it lies on dies.
+    the flavor allows (surjective: k - m of k to cover m, star: none), so
+    no branch it lies on dies.
 
     Surjective output is sorted by sigma; star output by gamma's
     positions, then by the source positions of the projection's values in
     gamma order.  A smaller source omega has no surjective morphism, and a
     larger one, or one not closed under its own conjugation, no star
-    morphism.  Trying more than SUBSET_CAP assignments, or a Q deeper than
-    the interpreter's stack allows, raises CapExceeded.
+    morphism.  Trying more than SUBSET_CAP assignments (generator values
+    that pass the repeat prunes), or more generators than the interpreter's
+    stack allows, raises CapExceeded.
     """
     omega, lam = src.omega, tgt.omega
     k, m = len(omega), len(lam)
     if k > m if injective else k < m:
         return []
-    table, target_table = src.conj_table, tgt.conj_table
-    closed = generator_blocks(table, range(k))[1]
+    table = src.conj_table
+    moved = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
+    blocks, closed = generator_blocks(table, moved)
     if injective and not closed:
         return []
     word = "star" if injective else "surjective"
+    require_recursion_depth(len(blocks), "%s morphism search over %d generators" % (word, len(blocks)))
     flavor = StarMorphism if injective else SurjMorphism
     check = check_star_morphism if injective else check_surj_morphism
-    src_order, tgt_order = [perm_order(w) for w in omega], [perm_order(w) for w in lam]
-    order = sorted(range(k), key=lambda i: sum(a == b for a, b in enumerate(omega[i])))
-    sigma, preimage = [-1] * k, [-1] * m
-    assigned: list[int] = []
-    branched: list[int] = []  # Q so far, in the order it was branched on
+    tgt_order = [perm_order(w) for w in lam]
+    values = [
+        [a for a in range(m) if not (tgt_order[a] % oq if injective else oq % tgt_order[a])]
+        for oq in (perm_order(omega[g]) for g, _ in blocks)
+    ]
     found: list[_PositionMorphism] = []
-    tried, slack = 0, 0 if injective else k - m
 
-    def assign(q: int, a: int) -> bool:
-        # sigma(q) = a, then q is paired with every assigned point and each
-        # point derived after it with every member of Q (every assigned
-        # point if the table is not closed), both ways, when the later of
-        # the two is reached; x |> x = x needs none.
-        # preimage[c] is the first point sent to c; later ones spend slack
-        nonlocal slack
-        sigma[q] = a
-        if preimage[a] == -1:
-            preimage[a] = q
-        else:
-            slack -= 1
-        assigned.append(q)
-        i = len(assigned) - 1
-        partners = assigned[:i]
-        while i < len(assigned):
-            x = assigned[i]
-            for y in partners:
-                for u, v in ((x, y), (y, x)):
-                    z = table[u, v]
-                    if z < 0:
-                        continue
-                    c = target_table[sigma[u], sigma[v]]
-                    if c >= 0 and sigma[z] == -1:
-                        if preimage[c] == -1:
-                            preimage[c] = z
-                        elif slack:
-                            slack -= 1
-                        else:
-                            return False
-                        sigma[z] = c
-                        assigned.append(z)
-                    elif c < 0 or sigma[z] != c:
-                        return False
-            i += 1
-            partners = branched if closed else assigned[:i]
-        return True
+    def leaf(sigma: tuple[int, ...]) -> None:
+        mor = flavor(src, tgt, sigma)
+        if not check(mor):
+            found.append(mor)
 
-    def search(depth: int) -> None:
-        nonlocal tried, slack
-        if len(assigned) == k:
-            mor = flavor(src, tgt, tuple(sigma))
-            if not check(mor):
-                found.append(mor)
-            return
-        depth += 1
-        require_recursion_depth(depth, "%s morphism search over %d generators" % (word, depth))
-        q = next(x for x in order if sigma[x] == -1)
-        branched.append(q)
-        oq = src_order[q]
-        mark, spare = len(assigned), slack
-        for a in range(m):
-            if (preimage[a] != -1 and not slack) or (
-                tgt_order[a] % oq if injective else oq % tgt_order[a]
-            ):
-                continue
-            tried += 1
-            if tried > SUBSET_CAP:
-                raise CapExceeded(
-                    "%s morphism search tried more than subset_cap=%d"
-                    " assignments" % (word, SUBSET_CAP)
-                )
-            if assign(q, a):
-                search(depth)
-            for x in assigned[mark:]:
-                if preimage[sigma[x]] == x:
-                    preimage[sigma[x]] = -1
-                sigma[x] = -1
-            del assigned[mark:]
-            slack = spare
-        branched.pop()
-
-    search(0)
+    refusal = "%s morphism search tried more than subset_cap=%d assignments" % (word, SUBSET_CAP)
+    table_homs(
+        table, blocks, tgt.conj_table, values, leaf,
+        injective=injective, surjective=not injective, every=not closed, cap=(SUBSET_CAP, refusal),
+    )
     rank = (lambda s: (sorted(s), sorted(range(k), key=s.__getitem__))) if injective else tuple
     return sorted(found, key=lambda f: rank(f.images))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grpgen import StarMorphism, SurjMorphism
-from .perm import generator_blocks, perm_order, require_recursion_depth
+from .perm import generator_blocks, perm_order, require_recursion_depth, table_homs
 from .quandle import GenPair, Quandle
 
 # Every accepted spelling of a hom mode, mapped to its canonical name.
@@ -95,33 +95,21 @@ def check_hom(f: QuandleHom) -> list[tuple[int, int]]:
 def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleHom]:
     """Every homomorphism q1 -> q2, in lexicographic order of the map arrays.
 
-    A homomorphism is fixed by its values on a generating set, so the
-    search branches only on generators: perm.generator_blocks of q1's
+    perm.table_homs on the two tables, the search grpgen._sigma_search
+    runs on conjugation tables, branching on perm.generator_blocks of q1's
     points in index order, whose closure order keeps the target rows the
-    search reads low.  After a generator is given a value, the points of
-    its closure block follow in a flat loop: a point z reached as
-    x |> y = z can only take the value img[x] |> img[y], since any other
-    value fails that instance.  Each equivariance instance (x, y) that is
-    checked is checked as soon as the last of x, y and x |> y is placed.
-
-    Which instances are checked depends on one flag: whether both tables
-    are quandles (Quandle.violations, check_axioms' verdict kept with the
-    quandle, is empty).  Lemma: in a quandle
-    s_{x|>y} = s_x s_y s_x^-1 (Q3, with Q2 for the inverse), so a map with
-    f s_x = s_{f(x)} f, f s_y = s_{f(y)} f and f(x |> y) = f(x) |> f(y)
-    also has f s_{x|>y} = s_{f(x|>y)} f.  Every block point is placed by
-    such an equation, so by induction along the block order a map that
-    keeps the instances in each generator's row keeps all n1 * n1.  With
-    the flag set, only the instances in a generator's row or column are
-    checked; the columns reject a wrong generator value before its block
-    is placed.  Without it every instance is checked, so tables that are
-    not quandles get every hom and nothing else.
+    search reads low.  When both tables are quandles
+    (Quandle.violations, check_axioms' verdict kept with the quandle, is
+    empty), only the instances in a generator's row or column are
+    checked, which table_homs' lemma shows is enough; otherwise every
+    instance is, so tables that are not quandles get every hom and
+    nothing else.
 
     Modes "injective" and "surjective" add the obvious pruning at every
-    placement.  With the flag set, which also makes every row a
-    permutation, they prune generator values by symmetry order too: from
-    f s_x^k = s_{f(x)}^k f, an onto f has ord(s_{f(x)}) dividing ord(s_x),
-    and a one-to-one f has ord(s_x) dividing ord(s_{f(x)}).
+    placement.  When both tables are quandles, which also makes every row
+    a permutation, they prune generator values by symmetry order too:
+    from f s_x^k = s_{f(x)}^k f, an onto f has ord(s_{f(x)}) dividing
+    ord(s_x), and a one-to-one f has ord(s_x) dividing ord(s_{f(x)}).
 
     Every point smaller than a generator lies in the closure of the
     generators before it, so the map arrays compare as the tuples of
@@ -137,87 +125,22 @@ def enumerate_homs(q1: Quandle, q2: Quandle, mode: str = "all") -> list[QuandleH
     if mode == "injective" and n2 < n1:
         return []
     t1, t2 = q1.table, q2.table
-    blocks = generator_blocks(q1, range(n1))[0]
+    blocks = generator_blocks(t1, range(n1))[0]
     require_recursion_depth(len(blocks), "hom enumeration from a %d-point quandle" % n1)
-    # placement order, and for each placed point the instances (x, y, x |> y)
-    # whose last point it is
-    order = [p for g, block in blocks for p in (g, *(z for z, _, _ in block))]
-    position = [0] * n1
-    for k, p in enumerate(order):
-        position[p] = k
     quandles = not q1.violations and not q2.violations
-    generators = {g for g, _ in blocks}
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
-    for x in range(n1):
-        for y in range(n1):
-            if quandles and x not in generators and y not in generators:
-                continue
-            z = t1[x][y]
-            checks[max(position[x], position[y], position[z])].append((x, y, z))
-    injective = mode == "injective"
-    surjective = mode == "surjective"
-    orders = [perm_order(row) for row in t2] if quandles and (injective or surjective) else None
-    # per generator: the generator, its candidate values, slack and checks,
-    # and one step (point, x, y, slack, checks) per point of its block,
-    # whose forced value is x |> y; slack is the number of points placed
-    # after a point, which the surjective pruning reads
-    plan = []
-    for g, block in blocks:
-        values: Sequence[int] = range(n2)
-        if orders is not None:
-            k = perm_order(t1[g])
-            values = [v for v in values if (k % orders[v] if surjective else orders[v] % k) == 0]
-        steps = [(z, x, y, n1 - 1 - position[z], checks[position[z]]) for z, x, y in block]
-        plan.append((g, values, n1 - 1 - position[g], checks[position[g]], steps))
+    injective, surjective = mode == "injective", mode == "surjective"
+    values: list[Sequence[int]] = [range(n2)] * len(blocks)
+    if quandles and (injective or surjective):
+        orders = [perm_order(row) for row in t2]
+        values = [
+            [v for v in range(n2) if (k % orders[v] if surjective else orders[v] % k) == 0]
+            for k in (perm_order(t1[g]) for g, _ in blocks)
+        ]
     out: list[QuandleHom] = []
-    img: list[int] = [0] * n1
-    used = [0] * n2  # multiplicity of each target value among placed points
-
-    def extend(level: int, distinct: int) -> None:
-        if level == len(plan):
-            out.append(_trusted_hom(q1, q2, tuple(img)))
-            return
-        g, values, slack, gen_checks, steps = plan[level]
-        for v in values:
-            if injective and used[v]:
-                continue
-            d = distinct + (used[v] == 0)
-            if surjective and n2 - d > slack:
-                continue
-            img[g] = v
-            ok = True
-            for x, y, z in gen_checks:
-                if img[z] != t2[img[x]][img[y]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[v] += 1
-            placed = [v]
-            for p, x, y, p_slack, p_checks in steps:
-                w = t2[img[x]][img[y]]
-                if injective and used[w]:
-                    ok = False
-                    break
-                d += used[w] == 0
-                if surjective and n2 - d > p_slack:
-                    ok = False
-                    break
-                img[p] = w
-                for a, b, c in p_checks:
-                    if img[c] != t2[img[a]][img[b]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                used[w] += 1
-                placed.append(w)
-            if ok:
-                extend(level + 1, d)
-            for w in placed:
-                used[w] -= 1
-
-    extend(0, 0)
+    table_homs(
+        t1, blocks, t2, values, lambda m: out.append(_trusted_hom(q1, q2, m)),
+        injective=injective, surjective=surjective, every=not quandles,
+    )
     return out
 
 

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -216,25 +216,32 @@ def conjugation_stable_under(generators: Iterable[Perm], subset: Iterable[Perm])
     return all(conjugate(g, s) in sset for g in generators for s in sset)
 
 
-class ConjugationTable(dict):
-    """Entry (i, j): the position among the members of members[i] members[j]
-    members[i]^-1, or -1 if it is none.  Each entry is conjugated on first
-    read, so a reader pays for the entries it reads; rows holds them all."""
+class ConjugationTable(list):
+    """Row i, entry j: the position among the members of members[i]
+    members[j] members[i]^-1, or -1 if it is none, read as table[i][j], as
+    a quandle's table is.  Each row is a dict that conjugates an entry the
+    first time it is read and keeps it, so a reader pays for the entries it
+    reads; rows builds every entry, on each read, as the table of tuples."""
+
+    class Row(dict):
+        __slots__ = ("member", "members", "position")
+
+        def __init__(self, member: Perm, members: Sequence[Perm], position: dict[Perm, int]) -> None:
+            self.member, self.members, self.position = member, members, position
+
+        def __missing__(self, j: int) -> int:
+            c = self[j] = self.position.get(conjugate(self.member, self.members[j]), -1)
+            return c
 
     def __init__(self, members: Sequence[Perm]) -> None:
-        super().__init__()
+        position = {m: i for i, m in enumerate(members)}
+        super().__init__(self.Row(m, members, position) for m in members)
         self.members = members
-        self.position = {m: i for i, m in enumerate(members)}
 
-    def __missing__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        c = self[key] = self.position.get(conjugate(self.members[i], self.members[j]), -1)
-        return c
-
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         n = range(len(self.members))
-        return tuple(tuple([self[i, j] for j in n]) for i in n)
+        return tuple(tuple([row[j] for j in n]) for row in self)
 
 
 def generator_blocks(table, members: Sequence[int]) -> tuple[list[tuple[int, list[tuple[int, int, int]]]], bool]:
@@ -242,7 +249,7 @@ def generator_blocks(table, members: Sequence[int]) -> tuple[list[tuple[int, lis
     generator with the members its addition brings in, and whether every
     entry read stays among the members.
 
-    table[x, y] is x |> y: a Quandle's table, or a ConjugationTable, where
+    table[x][y] is x |> y: a Quandle's table, or a ConjugationTable, where
     it is the position of x y x^-1.  The members are taken in order; one
     not reached yet becomes the next generator g, and its block lists, in
     the order they are reached, the members it brings in, each as
@@ -250,8 +257,8 @@ def generator_blocks(table, members: Sequence[int]) -> tuple[list[tuple[int, lis
     meets every member reached so far, itself included, and each newly
     reached member meets every generator, both ways: 2 * |generators| *
     |members| entries read at most.  An entry outside the members is not
-    reached and makes stable False.  enumerate_homs places points in block
-    order, so its search work follows this order.
+    reached and makes stable False.  table_homs places points in block
+    order, so the hom searches' work follows this order.
 
     Among permutations every reached member lies in the group the
     generators generate, as x y x^-1 of two of its elements does, so the
@@ -280,14 +287,14 @@ def generator_blocks(table, members: Sequence[int]) -> tuple[list[tuple[int, lis
             # both reads spelled out: a loop over ((a, b), (b, a)) would
             # build tuples per pair on check_star_morphism's hot path
             for b in partners:
-                z = table[a, b]
+                z = table[a][b]
                 if z not in mset:
                     stable = False
                 elif z not in reached:
                     reached.add(z)
                     order.append(z)
                     block.append((z, a, b))
-                z = table[b, a]
+                z = table[b][a]
                 if z not in mset:
                     stable = False
                 elif z not in reached:
@@ -297,6 +304,127 @@ def generator_blocks(table, members: Sequence[int]) -> tuple[list[tuple[int, lis
             partners = generators
             i += 1
     return blocks, stable
+
+
+def table_homs(
+    rows, blocks: list[tuple[int, list[tuple[int, int, int]]]], targets, values: Sequence[Sequence[int]],
+    leaf: Callable[[tuple[int, ...]], None], *, injective: bool, surjective: bool, every: bool,
+    cap: tuple[int, str] | None = None,
+) -> None:
+    """Call leaf(img), img a tuple, for every map img of the source points
+    into the target points that keeps the instances of |> it checks; the
+    maps come in the order of their generator values.
+
+    rows[x][y] is x |> y on the source points range(len(rows)), and
+    targets[a][b] on the target points: a Quandle's table or a
+    ConjugationTable, where -1 means undefined.  blocks is
+    generator_blocks of the source points, and values[i] lists the values
+    tried, in order, for generator i.  Once a generator has a value, each
+    point of its block follows in a flat loop: a point z reached as
+    x |> y = z can only take img[x] |> img[y], since any other value fails
+    that instance, and where that is undefined the branch dies.  Each
+    instance (x, y) that is checked is checked as soon as the last of x, y
+    and x |> y is placed; it fails when img[x] |> img[y] is undefined or
+    differs from img[x |> y], and an undefined source entry constrains
+    nothing.  With every set every instance is checked, and without it only
+    those in a generator's row or column.  injective refuses a value
+    already taken, and surjective one that leaves more target points
+    uncovered than points are left to place.  cap, (limit, message), raises
+    CapExceeded(message) once more than limit generator values pass those
+    two prunes.  The search recurses once per generator.
+
+    Lemma: the instances in the generators' rows and columns suffice when
+    both tables act by groups, x |> y = s_x(y) with
+    s_(x|>y) = s_x s_y s_x^-1 wherever x |> y is defined, and each source
+    s_x permutes the source points.  Quandles do (Q2, Q3), and so do
+    members of a group conjugated by one another (s_x is conjugation by x),
+    the source members closed under it.  Write C(x) for
+    img s_x = s_img(x) img on every source point.  With n the order of s_x,
+    C(x) applied n times shows that s_img(x)^n fixes every value of img, so
+    img s_x^-1 = img s_x^(n-1) = s_img(x)^-1 img.  Then C(x), C(w) and
+    img(x |> w) = img(x) |> img(w) give C(x |> w), by
+    s_(x|>w) = s_x s_w s_x^-1 on both sides.  The rows give C at every
+    generator, and each block point z is placed by an instance x |> y = z
+    with x or y a generator and both placed before z, so by induction along
+    the block order C holds at every point: img keeps every instance.  The
+    columns reject a wrong generator value before its block is placed.
+    """
+    n1, n2 = len(rows), len(targets)
+    order = [p for g, block in blocks for p in (g, *(z for z, _, _ in block))]
+    position = [0] * n1
+    for k, p in enumerate(order):
+        position[p] = k
+    generators = [g for g, _ in blocks]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
+    for x in range(n1):
+        row = rows[x]
+        for y in range(n1) if every or x in generators else generators:
+            z = row[y]
+            if z >= 0:
+                checks[max(position[x], position[y], position[z])].append((x, y, z))
+    # per generator: the generator, its values, slack and checks, and one
+    # step (point, x, y, slack, checks) per point of its block, whose
+    # forced value is x |> y; slack is the number of points placed after a
+    # point, which the surjective prune reads
+    plan = []
+    for (g, block), vals in zip(blocks, values):
+        steps = [(z, x, y, n1 - 1 - position[z], checks[position[z]]) for z, x, y in block]
+        plan.append((g, vals, n1 - 1 - position[g], checks[position[g]], steps))
+    limit, refusal = cap or (-1, "")
+    tried = 0
+    img: list[int] = [0] * n1
+    used = [0] * n2  # multiplicity of each target value among placed points
+
+    def extend(level: int, distinct: int) -> None:
+        nonlocal tried
+        if level == len(plan):
+            leaf(tuple(img))
+            return
+        g, vals, slack, gen_checks, steps = plan[level]
+        for v in vals:
+            if injective and used[v]:
+                continue
+            d = distinct + (used[v] == 0)
+            if surjective and n2 - d > slack:
+                continue
+            if limit >= 0:
+                tried += 1
+                if tried > limit:
+                    raise CapExceeded(refusal)
+            img[g] = v
+            ok = True
+            for x, y, z in gen_checks:
+                if img[z] != targets[img[x]][img[y]]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            used[v] += 1
+            placed = [v]
+            for p, x, y, p_slack, p_checks in steps:
+                w = targets[img[x]][img[y]]
+                if w < 0 or (injective and used[w]):
+                    ok = False
+                    break
+                d += used[w] == 0
+                if surjective and n2 - d > p_slack:
+                    ok = False
+                    break
+                img[p] = w
+                for a, b, c in p_checks:
+                    if img[c] != targets[img[a]][img[b]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+                used[w] += 1
+                placed.append(w)
+            if ok:
+                extend(level + 1, d)
+            for w in placed:
+                used[w] -= 1
+
+    extend(0, 0)
 
 
 def _rotation(n: int) -> Perm:

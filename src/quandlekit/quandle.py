@@ -63,10 +63,6 @@ class Quandle:
     def n(self) -> int:
         return len(self.table)
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        """x |> y for the key (x, y), as perm.generator_blocks reads it."""
-        return self.table[key[0]][key[1]]
-
     def symmetry(self, x: int) -> Perm:
         """The row at x, viewed as a permutation (valid quandles only)."""
         return self.table[x]
@@ -232,9 +228,10 @@ def conjugation_quandle(group: PermGroup, omega: Iterable[Perm]) -> Quandle:
 def quandle_of_conjugation_table(table: ConjugationTable) -> Quandle:
     """The conjugation quandle on the table's members, in their order;
     labels record the permutations."""
-    if any(-1 in row for row in table.rows):
+    rows = table.rows
+    if any(-1 in row for row in rows):
         raise ValueError("omega is not conjugation-stable (conjugate escapes)")
-    return Quandle(table.rows, tuple(perm_to_text(p) for p in table.members))
+    return Quandle(rows, tuple(perm_to_text(p) for p in table.members))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def arbitrary_tables(draw, max_order=4):
 
 
 def naive_generators(table, members):
-    """(generators, stable) of the members under table[x, y] = x |> y, the
+    """(generators, stable) of the members under table[x][y] = x |> y, the
     slow way: each member, in order, that the closure of the earlier
     generators does not hold becomes one.  The closure is the fixpoint of
     adding every member x |> y and y |> x for a generator x and a held y;
@@ -54,13 +54,53 @@ def naive_generators(table, members):
         generators.append(m)
         held.add(m)
         while True:
-            more = {table[x, y] for x in generators for y in held} | {table[y, x] for x in generators for y in held}
+            more = {table[x][y] for x in generators for y in held} | {table[y][x] for x in generators for y in held}
             more = (more & mset) - held
             if not more:
                 break
             held |= more
-    stable = all(table[x, y] in mset and table[y, x] in mset for x in generators for y in mset)
+    stable = all(table[x][y] in mset and table[y][x] in mset for x in generators for y in mset)
     return generators, stable
+
+
+def entries_read(table):
+    """The entries a ConjugationTable has conjugated and kept: each row
+    keeps the entries read from it."""
+    return sum(len(row) for row in table)
+
+
+@st.composite
+def partial_tables(draw, max_order=4):
+    """Tables of any entries, where -1 means undefined, no axiom asked."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    entry = st.integers(min_value=-1, max_value=n - 1)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+def brute_force_table_homs(rows, targets, generators, values, injective, surjective, every):
+    """Every map of rows' points into targets' points that sends generator
+    i into values[i], is one-to-one if injective and onto if surjective,
+    and keeps each instance x |> y = z with z defined, among all instances
+    if every, else among those with x or y a generator: targets at the
+    values of x and y must be the value of z.  Sorted by the positions of
+    the generator values in their lists."""
+    n1, n2 = len(rows), len(targets)
+    out = []
+    for img in itertools.product(range(n2), repeat=n1):
+        if any(img[g] not in vals for g, vals in zip(generators, values)):
+            continue
+        if injective and len(set(img)) != n1:
+            continue
+        if surjective and set(img) != set(range(n2)):
+            continue
+        if all(
+            targets[img[x]][img[y]] == img[rows[x][y]]
+            for x in range(n1)
+            for y in range(n1)
+            if rows[x][y] >= 0 and (every or x in generators or y in generators)
+        ):
+            out.append(img)
+    return sorted(out, key=lambda img: [vals.index(img[g]) for g, vals in zip(generators, values)])
 
 
 def naive_subquandle_closure(q, seed):

@@ -42,7 +42,7 @@ from quandlekit import (
 from quandlekit import functors, grpgen, homs
 from quandlekit.cli import load_corpus, main
 
-from helpers import as_point_map, compose_by_extension, iso_class_representatives
+from helpers import as_point_map, compose_by_extension, entries_read, iso_class_representatives
 
 
 def conj_s3():
@@ -106,9 +106,9 @@ def test_conj_table_matches_conjugating_omega():
         oracle = tuple(tuple(pos.get(perm.conjugate(x, y), -1) for y in p.omega) for x in p.omega)
         # one entry read conjugates one entry; rows fills the rest
         last = len(p.omega) - 1
-        assert p.conj_table[last, 0] == oracle[last][0] and len(p.conj_table) == 1
+        assert p.conj_table[last][0] == oracle[last][0] and entries_read(p.conj_table) == 1
         assert p.conj_table.rows == oracle
-        assert len(p.conj_table) == len(p.omega) ** 2
+        assert entries_read(p.conj_table) == len(p.omega) ** 2
         # omega generates the group, so stability under the group's
         # generators is closure under conjugation by omega: no -1
         assert p.conj_stable == all(-1 not in row for row in oracle)
@@ -167,10 +167,10 @@ def test_describing_a_large_pair_reads_no_conjugation_table(monkeypatch, tmp_pat
     from quandlekit import make_genpair, perm
     from quandlekit.perm import ConjugationTable
 
-    def refuse(table, key):
-        raise AssertionError("conjugation table entry %r read" % (key,))
+    def refuse(row, j):
+        raise AssertionError("conjugation table entry %r read" % (j,))
 
-    monkeypatch.setattr(ConjugationTable, "__missing__", refuse)
+    monkeypatch.setattr(ConjugationTable.Row, "__missing__", refuse)
     assert main(["make", "genpair", "symmetric", "6", "all", "--out", str(tmp_path / "s6.g")]) == 0
     assert "conj-stable: yes" in capsys.readouterr().out
     s6 = symmetric_group(6)
@@ -198,12 +198,12 @@ def test_star_checks_and_searches_read_only_the_target_entries_they_reach(monkey
     tgt = make_genpair(s6, s6.elements)
     proj = {swap(6, a, b): swap(3, a, b) for a, b in ((0, 1), (0, 2), (1, 2))}
     assert check_star_morphism(make_star_morphism(src, tgt, proj)) == []
-    assert len(tgt.conj_table) <= 2 * 2 * 3
+    assert entries_read(tgt.conj_table) <= 2 * 2 * 3
     monkeypatch.setattr(grpgen, "SUBSET_CAP", 2000)
     tgt = make_genpair(s6, s6.elements)
     with pytest.raises(CapExceeded):
         enumerate_star_morphisms(src, tgt)
-    assert len(tgt.conj_table) <= 3 * 2 * grpgen.SUBSET_CAP < len(tgt.omega) ** 2 // 20
+    assert entries_read(tgt.conj_table) <= 3 * 2 * grpgen.SUBSET_CAP < len(tgt.omega) ** 2 // 20
 
 
 def test_round_trip_theta_is_isomorphism():
@@ -385,6 +385,22 @@ def test_verify_equivalence_matches_golden_report(key):
     tokens, quandles, [mode] = load_corpus(corpus, mode)
     report = verify_equivalence(quandles, mode, names=tokens)
     assert report.to_dict() == GOLDEN_REPORTS[key]
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_tests_only_the_corpus_for_faithfulness(monkeypatch, mode):
+    # each corpus member is tested by verify_equivalence and again by
+    # to_pair; the round trips are built with inn untested, since the
+    # conjugation quandle of a faithful pair is faithful: 10 is_faithful
+    # calls on the 5-member default corpus, not 15
+    calls = []
+    real = functors.is_faithful
+    monkeypatch.setattr(functors, "is_faithful", lambda q: calls.append(q) or real(q))
+    round_trips = _recording_inn(monkeypatch)
+    tokens, quandles, [mode] = load_corpus("r3,r5,r7,r9,conj:s3", mode)
+    assert verify_equivalence(quandles, mode, names=tokens).failures == []
+    assert calls == quandles + quandles
+    assert len(round_trips) == 10 and all(real(to_quandle(p)) for p in round_trips[5:])
 
 
 # The functions each flavor's record reads from functors' globals.
@@ -647,17 +663,19 @@ def test_verify_equivalence_catches_wrong_operations(monkeypatch, mode, role, ma
     assert {r.check for r in report.failures} == failing, report.summary()
 
 
-def _recording_to_pair(monkeypatch):
-    """Patch functors.to_pair to record every pair it builds, in order: the
-    corpus members' first, then their round trips'.  Returns the list."""
+def _recording_inn(monkeypatch):
+    """Patch functors.inn, through which to_pair builds the corpus members'
+    pairs and verify_equivalence their round trips', to record every pair
+    it builds, in order: the corpus members' first, then their round
+    trips'.  Returns the list."""
     pairs = []
-    real_to_pair = functors.to_pair
+    real_inn = functors.inn
 
-    def recording_to_pair(q, cap):
-        pairs.append(real_to_pair(q, cap))
+    def recording_inn(q, cap):
+        pairs.append(real_inn(q, cap))
         return pairs[-1]
 
-    monkeypatch.setattr(functors, "to_pair", recording_to_pair)
+    monkeypatch.setattr(functors, "inn", recording_inn)
     return pairs
 
 
@@ -674,7 +692,7 @@ def test_verify_equivalence_catches_one_wrong_composite_deep_in_the_laws(monkeyp
     assert len(ms) ** 2 > 1000 and identity not in late
     right = fl.compose(ms[-2], ms[-1]).images
     wrong = next(m.images for m in ms if m.images != right)
-    pairs = _recording_to_pair(monkeypatch)
+    pairs = _recording_inn(monkeypatch)
 
     def wrong_on_one_pair(orig):
         def fake(m2, m1):
@@ -711,7 +729,7 @@ def test_verify_equivalence_checks_each_composition_law_past_the_others_failure(
     late = (ms[-2].key(), ms[-1].key())
     right = fl.compose(ms[-2], ms[-1]).images
     wrong = next(m.images for m in ms if m.images != right)
-    pairs = _recording_to_pair(monkeypatch)
+    pairs = _recording_inn(monkeypatch)
 
     def wrong_on_the_last_pair(orig):
         def fake(m2, m1):
@@ -792,7 +810,7 @@ UNMATCHED_LEG_FAILURES = {
 def test_verify_equivalence_records_the_same_failures_on_an_unmatched_leg(monkeypatch, mode):
     source, target, expected = UNMATCHED_LEG_FAILURES[mode]
     names = ["r3", "r9"]
-    pairs = _recording_to_pair(monkeypatch)
+    pairs = _recording_inn(monkeypatch)
 
     def corrupt_one_leg(orig):
         def fake(f, source_pair, target_pair):
@@ -864,12 +882,7 @@ def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypat
     # becomes a position past the target omega, which is no generator; in
     # both flavors the composite raises RuntimeError on it, and the law is
     # recorded as failing, not raised
-    pairs = []  # every pair to_pair builds: R5's, then its round trip's
-    real_to_pair = functors.to_pair
-
-    def recording_to_pair(q, cap):
-        pairs.append(real_to_pair(q, cap))
-        return pairs[-1]
+    pairs = _recording_inn(monkeypatch)  # R5's pair, then its round trip's
 
     def off_generators(orig):
         def fake(f, source_pair, target_pair):
@@ -882,7 +895,6 @@ def test_verify_equivalence_records_a_forward_value_off_the_generators(monkeypat
 
         return fake
 
-    monkeypatch.setattr(functors, "to_pair", recording_to_pair)
     _patch(monkeypatch, mode, "forward", off_generators)
     report = verify_equivalence([dihedral(5)], mode, names=["r5"])
     assert [r.check for r in report.failures] == ["eta_naturality"], report.summary()

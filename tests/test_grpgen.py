@@ -40,6 +40,7 @@ from helpers import (
     brute_force_star_morphisms,
     brute_force_surj_morphisms,
     conjugation_stable,
+    entries_read,
     extends_to_hom,
     iso_class_representatives,
     naive_closure,
@@ -401,7 +402,7 @@ def test_surj_search_reads_only_part_of_the_source_table():
     s4 = symmetric_group(4)
     src = inn(conjugation_quandle(s4, s4.sorted_elements()))
     assert enumerate_surj_morphisms(src, inn(dihedral(3))) == []
-    assert len(src.conj_table) < len(src.omega) ** 2
+    assert entries_read(src.conj_table) < len(src.omega) ** 2
 
 
 def test_surj_enumeration_matches_the_ordered_brute_force():

@@ -142,7 +142,7 @@ def test_tables_that_break_only_q3_get_every_instance_checked(side, monkeypatch)
     assert violations and {kind for kind, _ in violations} == {"Q3"}
     # some map keeps every instance in a generator's row and column, and
     # every instance its generators' blocks place by, yet is not a hom
-    blocks = generator_blocks(q1, range(q1.n))[0]
+    blocks = generator_blocks(q1.table, range(q1.n))[0]
     generators = {g for g, _ in blocks}
     kept = {(x, y) for _, block in blocks for _, x, y in block}
     kept |= {(x, y) for x in range(q1.n) for y in range(q1.n) if x in generators or y in generators}
@@ -229,7 +229,7 @@ def test_enumeration_order_matches_brute_force_when_closure_order_departs_from_i
     bases = [dihedral(5), conjugation_quandle(s3, s3.sorted_elements()), alexander_quandle([5], [[2]])]
     quandles = [_relabelled(q, seed) for seed, q in enumerate(bases, start=1)]
     for q in quandles:
-        order = [p for g, block in generator_blocks(q, range(q.n))[0] for p in (g, *(z for z, _, _ in block))]
+        order = [p for g, block in generator_blocks(q.table, range(q.n))[0] for p in (g, *(z for z, _, _ in block))]
         assert sorted(order) == list(range(q.n)) and order != sorted(order)
     for q1, q2 in itertools.product(quandles, repeat=2):
         for mode in ("all", "injective", "surjective"):

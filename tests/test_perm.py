@@ -30,9 +30,19 @@ from quandlekit.perm import (
     centralizer_of_subset_is_trivial,
     conjugation_stable_under,
     generator_blocks,
+    table_homs,
 )
 
-from helpers import arbitrary_tables, conjugacy_classes, conjugation_stable, naive_closure, naive_generators
+from helpers import (
+    arbitrary_tables,
+    brute_force_table_homs,
+    conjugacy_classes,
+    conjugation_stable,
+    entries_read,
+    naive_closure,
+    naive_generators,
+    partial_tables,
+)
 
 
 def test_compose_applies_right_factor_first():
@@ -298,19 +308,29 @@ def test_sorted_elements_and_index():
 
 
 class CountedTable:
-    """A table whose entry reads, table[x, y], are counted in reads."""
+    """A table whose entry reads, table[x][y], are counted in reads."""
 
     def __init__(self, table):
         self.table, self.reads = table, []
 
-    def __getitem__(self, key):
+    def __getitem__(self, x):
+        return CountedRow(self.table[x], self.reads)
+
+
+class CountedRow:
+    """Row x of a CountedTable: each entry read appends to reads."""
+
+    def __init__(self, row, reads):
+        self.row, self.reads = row, reads
+
+    def __getitem__(self, y):
         self.reads.append(None)
-        return self.table[key]
+        return self.row[y]
 
 
 def assert_generator_blocks(table, members):
     """generator_blocks of the members, against the oracles: each block
-    entry (z, x, y) has table[x, y] == z with x and y reached earlier, the
+    entry (z, x, y) has table[x][y] == z with x and y reached earlier, the
     blocks partition the members, the generators and the stability flag
     are naive_generators', and at most 2 * |generators| * |members| table
     reads are made.  Returns the generators, the flag and the reads."""
@@ -320,7 +340,7 @@ def assert_generator_blocks(table, members):
     for g, block in blocks:
         reached.append(g)
         for z, x, y in block:
-            assert table[x, y] == z and x in reached and y in reached
+            assert table[x][y] == z and x in reached and y in reached
             reached.append(z)
     assert sorted(reached) == sorted(set(members))
     generators = [g for g, _ in blocks]
@@ -348,7 +368,7 @@ def assert_conjugation_basis(members, universe=None):
     fresh = ConjugationTable(universe)
     blocks, fresh_stable = generator_blocks(fresh, positions_of_members)
     assert ([g for g, _ in blocks], fresh_stable) == (positions, stable)
-    assert len(fresh) <= reads
+    assert entries_read(fresh) <= reads
     basis = [universe[i] for i in positions]
     it = iter(members)
     assert all(b in it for b in basis)
@@ -391,7 +411,41 @@ def test_generator_blocks_of_arbitrary_tables_match_the_naive_closure(q, data):
     # any order: an entry outside those points breaks stability
     points = data.draw(st.permutations(range(q.n)))
     members = points[: data.draw(st.integers(min_value=1, max_value=q.n))]
-    assert_generator_blocks(q, members)
+    assert_generator_blocks(q.table, members)
+
+
+@given(partial_tables(), partial_tables(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_table_homs_match_the_brute_force_on_partial_tables(rows, targets, data):
+    # both tables may hold -1 (undefined) anywhere, so no lemma holds: in
+    # every mode, with every instance or only the generators' rows and
+    # columns, the search lists exactly the maps that keep what it checks,
+    # generator values in their lists' order
+    n1, n2 = len(rows), len(targets)
+    members = data.draw(st.permutations(range(n1)))
+    blocks = generator_blocks(rows, members)[0]
+    generators = [g for g, _ in blocks]
+    assert generators == naive_generators(rows, members)[0]
+    values = [data.draw(st.permutations(range(n2)))[: data.draw(st.integers(0, n2))] for _ in generators]
+    injective, surjective = data.draw(st.sampled_from([(False, False), (True, False), (False, True)]))
+    every = data.draw(st.booleans())
+    found = []
+    table_homs(rows, blocks, targets, values, found.append, injective=injective, surjective=surjective, every=every)
+    assert found == brute_force_table_homs(rows, targets, generators, values, injective, surjective, every)
+    # a cap of 0 refuses the first generator value that passes the
+    # injective and surjective prunes: any at all, unless there are fewer
+    # source points than target points to cover
+    first_passes = bool(values[0]) and not (surjective and n2 > n1)
+    refused = []
+    try:
+        table_homs(
+            rows, blocks, targets, values, refused.append,
+            injective=injective, surjective=surjective, every=every, cap=(0, "refused"),
+        )
+    except CapExceeded as exc:
+        assert first_passes and str(exc) == "refused"
+    else:
+        assert not first_passes and refused == found == []
 
 
 def test_conjugation_basis_fixed_cases():
