@@ -14,13 +14,16 @@ Output goes to stdout, or to the file --out names, as it is made: a
 written one item of its list at a time (one hom, star morphism or report),
 and a text listing one line at a time.
 
-Exit codes: 0 success, 1 a requested check failed, 2 bad input.
+Exit codes: 0 success, 1 a requested check failed, 2 bad input, 141
+(128 + SIGPIPE) stdout closed by its reader before the output ended, as
+`| head` does; that one prints no error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -265,15 +268,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_inn(args: argparse.Namespace) -> int:
     q = _load_quandle(args.path)
     pair = inn(q, cap=args.cap)
+    found = find_dihedral_presentation(pair.group)
     lines = [
         "inner group order: %d" % len(pair.group),
         "distinct symmetries: %d" % len(pair.omega),
+        "dihedral-recognized: " + ("no" if found is None else "yes, n=%d" % perm_order(found[0])),
     ]
-    found = find_dihedral_presentation(pair.group)
-    if found is not None:
-        lines.append("dihedral-recognized: yes, n=%d" % perm_order(found[0]))
-    else:
-        lines.append("dihedral-recognized: no")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         Path(args.out).write_text(genpair_to_text(pair))
@@ -390,9 +390,7 @@ def load_corpus(corpus: str, mode: str) -> tuple[list[str], list[Quandle], list[
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tokens, corpus, modes = load_corpus(args.corpus, args.mode)
-    reports = [
-        verify_equivalence(corpus, mode, names=tokens, cap=args.cap) for mode in modes
-    ]
+    reports = [verify_equivalence(corpus, mode, names=tokens, cap=args.cap) for mode in modes]
     failures = sum(len(r.failures) for r in reports)
     if args.json:
         _emit_json({"schema": 1, "reports": (r.to_dict() for r in reports)}, args.out)
@@ -459,14 +457,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # what stdout still buffers is written here, so a closed pipe fails
+        # inside this handler and not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return 141
     except (ValueError, OSError, CapExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == 141:
+        # stdout keeps the bytes its reader never took; point fd 1 at
+        # devnull so the exit-time flush drops them instead of reporting
+        # "Exception ignored" and exiting 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,10 @@ flavors; a small per-call record holds the morphism data that differs.
 Both composition laws share one loop over the composable pairs and one
 group-side composite per pair: a forward image equal to an enumerated
 morphism composes to the same composite, so the F law may read the
-enumerated morphism in its place.
+enumerated morphism in its place.  G of a morphism is its stored
+positions as a point map, so the G law compares point tuples: G(m2 m1)'s
+mapping with G(m1)'s mapping chained through G(m2)'s.  No composite
+QuandleHom is built per pair.
 """
 
 from __future__ import annotations
@@ -212,12 +215,7 @@ class EquivalenceReport:
             "checks": len(self.records),
             "failures": len(self.failures),
             "records": [
-                {
-                    "check": r.check,
-                    "instance": r.instance,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
+                {"check": r.check, "instance": r.instance, "passed": r.passed, "detail": r.detail}
                 for r in self.records
             ],
         }
@@ -348,6 +346,13 @@ def verify_equivalence(
     A leg whose forward images do not match its enumerated morphisms one
     to one (only in a failing run) has each side composed on its own.
 
+    The G law compares point tuples: the mapping of G(m2 m1) with G(m1)'s
+    mapping chained through G(m2)'s, read from the backward images that
+    eta_naturality built and checked.  No composite QuandleHom is built
+    per pair, and the right-hand side never reads the composite, so a
+    wrong composite fails the law.  Only theta_naturality composes
+    QuandleHoms (compose_homs), twice per hom.
+
     cap bounds each inner group to_pair lists; every group the run builds
     after that is a subgroup of one of them and takes no cap of its own.
 
@@ -429,8 +434,7 @@ def verify_equivalence(
         if th_i is not None and th_j is not None:
             with report.checking("theta_naturality", inst) as add:
                 ok = all(
-                    tuple(th_j.mapping[v] for v in fl.backward(m, conjs[i], conjs[j]).mapping)
-                    == tuple(f.mapping[v] for v in th_i.mapping)
+                    compose_homs(th_j, fl.backward(m, conjs[i], conjs[j])) == compose_homs(f, th_i)
                     for f, m in zip(qh, mapped)
                 )
                 add(ok, "%d homs" % len(qh))
@@ -482,7 +486,8 @@ def verify_equivalence(
                 try:
                     if c is None or fm1 is not m1 or fm2 is not m2:
                         c = fl.compose(m2, m1)
-                    if fl.backward(c, source, target) != compose_homs(g2, g1):
+                    g2m = g2.mapping
+                    if fl.backward(c, source, target).mapping != tuple([g2m[v] for v in g1.mapping]):
                         g_fail = "G(m2 m1) != G(m2) G(m1)"
                 except (RuntimeError, ValueError) as exc:
                     g_fail = _failure_detail(exc)

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -555,3 +557,33 @@ def test_json_outputs_equal_the_stdlib_encoding_of_themselves(tmp_path, capsys):
         rc, out = run(capsys, *argv, "--json")
         assert rc == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def spawn_cli(*argv, stdout):
+    """python -m quandlekit.cli argv in a child process whose stdout is the
+    given file descriptor, block-buffered as in a shell pipeline; returns
+    its exit code and stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "quandlekit.cli", *argv]
+    child = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    return child.returncode, child.stderr.decode()
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path):
+    # the read end of the pipe is closed before the child starts, so the
+    # first write that reaches it fails, as under `star-homs ... | head -1`;
+    # the listing fits stdout's buffer, so that write is the final flush,
+    # and the bytes it could not write must not be reported at exit either
+    pairs = write_quandles_and_pairs(["r3", "r9"], tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert spawn_cli("star-homs", *pairs, stdout=write_end) == (141, "")
+    finally:
+        os.close(write_end)
+    # a real OSError on --out is still bad input
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    rc, err = spawn_cli("star-homs", *pairs, "--out", missing, stdout=subprocess.DEVNULL)
+    assert rc == 2 and err.startswith("error: [Errno 2] No such file or directory")

@@ -514,6 +514,58 @@ def test_verify_equivalence_records_runtime_error_in_G_composition(monkeypatch, 
     ]
 
 
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_G_law_compares_with_the_chained_images(monkeypatch, mode):
+    # compose tags its results and the backward map sends a tagged
+    # morphism to a wrong but well-formed point map, its true one reversed
+    # (no bijection of R3 is a palindrome): the G law's right-hand side is
+    # chained from the two backward images, not read off the composite, so
+    # the law must fail, and only it
+    def tag(orig):
+        def fake(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            out.composite = True
+            return out
+
+        return fake
+
+    def reversed_on_tag(orig):
+        def fake(m, source, target):
+            g = orig(m, source, target)
+            if getattr(m, "composite", False):
+                return QuandleHom(source, target, g.mapping[::-1])
+            return g
+
+        return fake
+
+    _patch(monkeypatch, mode, "compose", tag)
+    _patch(monkeypatch, mode, "backward", reversed_on_tag)
+    report = verify_equivalence([dihedral(3)], mode, names=["r3"])
+    assert [(r.check, r.detail) for r in report.failures] == [
+        ("functor_G_composition", "G(m2 m1) != G(m2) G(m1)")
+    ]
+
+
+@pytest.mark.parametrize("mode", ["surjective", "injective"])
+def test_verify_equivalence_composes_quandle_homs_only_for_theta_naturality(monkeypatch, mode):
+    # theta naturality composes each hom of a leg twice, once per side of
+    # its square; the composition laws compare point tuples and build no
+    # composite QuandleHom per pair
+    corpus = [dihedral(3), dihedral(5)]
+    homs_per_leg = [len(enumerate_homs(q1, q2, mode)) for q1, q2 in itertools.product(corpus, repeat=2)]
+    calls = []
+
+    def counting(f2, f1):
+        calls.append((f2, f1))
+        return compose_homs(f2, f1)
+
+    monkeypatch.setattr(functors, "compose_homs", counting)
+    report = verify_equivalence(corpus, mode, names=["r3", "r5"])
+    assert report.failures == []
+    assert sum(r.check == "theta_naturality" for r in report.records) == len(homs_per_leg)
+    assert len(calls) == 2 * sum(homs_per_leg) > 0
+
+
 def test_verify_equivalence_failed_enumeration_leaves_composites_missing(monkeypatch):
     # a -> c fails to enumerate while a -> b and b -> c succeed, so F
     # composition along a -> b -> c has no composite to compare with
